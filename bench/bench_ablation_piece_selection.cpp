@@ -8,7 +8,6 @@
 // transient-state duration (torrent 8 variant) is insensitive to the
 // picker — it is bounded by the initial seed's upload capacity.
 #include <algorithm>
-#include <vector>
 
 #include "bench_util.h"
 #include "swarm/entropy.h"
@@ -47,28 +46,29 @@ int main(int argc, char** argv) {
     auto cfg = swarm::scenario_from_table1(7, limits);
     cfg.remote_params.picker = row.kind;
     cfg.local_params.picker = row.kind;
-    instrument::LocalPeerLog log(cfg.num_pieces);
-    swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-    instrument::AvailabilitySampler sampler(runner.simulation(),
-                                            runner.local_peer(), 20.0);
-    swarm::SwarmEntropySampler global(runner.simulation(), runner.swarm(),
-                                      120.0);
-    const double end = runner.run_until_local_complete(1000.0);
-    log.finalize(end);
+    instrument::MetricsRegistry registry;
+    instrument::SwarmProbe probe(registry, cfg.num_pieces);
+    swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+    swarm::bind_probe(probe, runner);
+    probe.force_sample(0.0);
+    // Time-averaged swarm-wide entropy, read every 120 s between
+    // simulation steps (t = 0 included) up to the stop time.
+    double global_sum = swarm::swarm_entropy(runner.swarm());
+    std::size_t global_n = 1;
+    const double end =
+        runner.run_until_local_complete(1000.0, 120.0, [&](double) {
+          global_sum += swarm::swarm_entropy(runner.swarm());
+          ++global_n;
+        });
+    probe.finalize(end);
+    const instrument::LocalPeerLog& log =
+        *probe.peer_log(runner.local_peer_id());
     const auto entropy = instrument::analyze_entropy(log);
-    // Time-averaged swarm-wide entropy over the local leecher phase.
-    double global_sum = 0.0;
-    std::size_t global_n = 0;
-    for (const auto& smp : global.entropy().samples()) {
-      if (smp.time > end) break;
-      global_sum += smp.value;
-      ++global_n;
-    }
-    const double global_mean =
-        global_n > 0 ? global_sum / static_cast<double>(global_n) : 0.0;
+    const double global_mean = global_sum / static_cast<double>(global_n);
     const double ls_end = log.seed_time() >= 0 ? log.seed_time() : end;
+    const auto copies = bench::probe_series(registry, "copies_min");
     double min_copies = 1e18;
-    for (const auto& s : sampler.min_copies().samples()) {
+    for (const auto& s : copies.samples()) {
       if (s.time > 30.0 && s.time <= ls_end) {
         min_copies = std::min(min_copies, s.value);
       }
@@ -94,21 +94,17 @@ int main(int argc, char** argv) {
     const double expected_floor =
         static_cast<double>(cfg.num_pieces) * cfg.piece_size /
         cfg.initial_seed_upload;
-    instrument::LocalPeerLog log(cfg.num_pieces);
-    swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
+    swarm::ScenarioRunner runner(std::move(cfg), seed);
     // Transient ends when the global min copies (excluding the initial
-    // seed's own copy) reaches 1, i.e. global availability min >= 2.
+    // seed's own copy) reaches 1, i.e. global availability min >= 2;
+    // checked every 20 s between simulation steps.
     double transient_end = -1.0;
-    std::function<void()> watch = [&] {
+    runner.run_until_local_complete(0.0, 20.0, [&](double t) {
       if (transient_end < 0 &&
           runner.swarm().global_availability().min_copies() >= 2) {
-        transient_end = runner.simulation().now();
+        transient_end = t;
       }
-      if (transient_end < 0) runner.simulation().schedule_in(20.0, watch);
-    };
-    runner.simulation().schedule_in(20.0, watch);
-    const double end = runner.run_until_local_complete(0.0);
-    log.finalize(end);
+    });
     std::printf("%-14s %13.0fs %11.0fs   (seed-capacity floor %.0fs)\n",
                 row.name, transient_end,
                 runner.local_peer().completion_time(), expected_floor);

@@ -3,25 +3,7 @@
 // leecher state. Paper shape: the min curve hugs the floor (rare pieces
 // exist for most of the run), the mean rises steadily, the max sits near
 // the peer set size.
-#include <algorithm>
-#include <vector>
-
 #include "bench_util.h"
-
-namespace {
-
-/// Clips a probe series to [0, t_max] as a stats::TimeSeries (for
-/// downsample()/value_at()).
-swarmlab::stats::TimeSeries truncate(
-    const std::vector<swarmlab::stats::Sample>& in, double t_max) {
-  swarmlab::stats::TimeSeries out;
-  for (const auto& s : in) {
-    if (t_max < 0.0 || s.time <= t_max) out.add(s.time, s.value);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace swarmlab;
@@ -35,31 +17,23 @@ int main(int argc, char** argv) {
               "replication, paper §IV-A.2.a)\n\n",
               cfg.initial_seed_upload / 1024.0);
 
-  // The copies series now come from the swarm-scope probe (focus = the
-  // local peer) instead of a scheduled AvailabilitySampler: samples land
-  // at observer-callback times on a 20 s grid, so nothing is injected
-  // into the event queue.
-  const std::uint32_t num_pieces = cfg.num_pieces;
+  // The copies series come from the swarm-scope probe (focus = the local
+  // peer): samples land at observer-callback times on a 20 s grid, so
+  // nothing is injected into the event queue.
   instrument::MetricsRegistry registry;
-  instrument::SwarmProbe probe(registry, num_pieces);
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
   swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
-  probe.bind([&runner](peer::PeerId id) -> const peer::Peer* {
-    return runner.swarm().find_peer(id);
-  });
-  probe.set_focus(runner.local_peer_id());
+  swarm::bind_probe(probe, runner);
   probe.force_sample(0.0);
   const double end = runner.run_until_local_complete(0.0);
   probe.finalize(end);
-  const instrument::LocalPeerLog* log =
-      probe.peer_log(runner.local_peer_id());
-  const double ls_end = log->seed_time() >= 0 ? log->seed_time() : end;
+  const double seed_time =
+      probe.peer_log(runner.local_peer_id())->seed_time();
+  const double ls_end = seed_time >= 0 ? seed_time : end;
 
-  const auto min_ls =
-      truncate(registry.samples(registry.find("copies_min")), ls_end);
-  const auto mean_ls =
-      truncate(registry.samples(registry.find("copies_mean")), ls_end);
-  const auto max_ls =
-      truncate(registry.samples(registry.find("copies_max")), ls_end);
+  const auto min_ls = bench::probe_series(registry, "copies_min", ls_end);
+  const auto mean_ls = bench::probe_series(registry, "copies_mean", ls_end);
+  const auto max_ls = bench::probe_series(registry, "copies_max", ls_end);
 
   std::printf("%10s %8s %8s %8s\n", "t (s)", "min", "mean", "max");
   const auto rows = mean_ls.downsample(28);

@@ -3,9 +3,6 @@
 // linearly, at a rate bounded by the initial seed's upload capacity —
 // evidence that the transient-phase duration depends only on the initial
 // seed, not on the piece-selection strategy.
-#include <algorithm>
-#include <vector>
-
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
@@ -19,17 +16,21 @@ int main(int argc, char** argv) {
               "(transient), leecher state ===\n");
   bench::print_scale(cfg, seed);
 
-  instrument::LocalPeerLog log(cfg.num_pieces);
-  swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-  instrument::AvailabilitySampler sampler(runner.simulation(),
-                                          runner.local_peer(), 20.0);
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
+  swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
   const double end = runner.run_until_local_complete(0.0);
-  log.finalize(end);
-  const double ls_end = log.seed_time() >= 0 ? log.seed_time() : end;
+  probe.finalize(end);
+  const double seed_time =
+      probe.peer_log(runner.local_peer_id())->seed_time();
+  const double ls_end = seed_time >= 0 ? seed_time : end;
+  const auto rarest = bench::probe_series(registry, "rarest_set");
 
   std::printf("\n%10s %10s\n", "t (s)", "#rarest");
   double first_t = -1, first_v = 0, last_t = 0, last_v = 0;
-  for (const auto& s : sampler.rarest_set_size().samples()) {
+  for (const auto& s : rarest.samples()) {
     if (s.time > ls_end) break;
     if (first_t < 0) {
       first_t = s.time;
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     last_t = s.time;
     last_v = s.value;
   }
-  for (const auto& s : sampler.rarest_set_size().downsample(28)) {
+  for (const auto& s : rarest.downsample(28)) {
     if (s.time > ls_end) break;
     std::printf("%10.0f %10.0f\n", s.time, s.value);
   }

@@ -4,7 +4,6 @@
 // torrent never re-enters transient state), and the mean stays bounded
 // between min and max, tracking the peer set size.
 #include <algorithm>
-#include <vector>
 
 #include "bench_util.h"
 
@@ -17,24 +16,28 @@ int main(int argc, char** argv) {
               "torrent 7 (steady state) ===\n");
   bench::print_scale(cfg, seed);
 
-  instrument::LocalPeerLog log(cfg.num_pieces);
-  swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-  instrument::AvailabilitySampler sampler(runner.simulation(),
-                                          runner.local_peer(), 20.0);
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
+  swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
   const double end = runner.run_until_local_complete(3000.0);
-  log.finalize(end);
+  probe.finalize(end);
+  const double seed_time =
+      probe.peer_log(runner.local_peer_id())->seed_time();
 
   std::printf("\n%10s %8s %8s %8s\n", "t (s)", "min", "mean", "max");
-  const auto& min_s = sampler.min_copies();
-  const auto& max_s = sampler.max_copies();
-  for (const auto& s : sampler.mean_copies().downsample(30)) {
+  const auto min_s = bench::probe_series(registry, "copies_min");
+  const auto max_s = bench::probe_series(registry, "copies_max");
+  for (const auto& s :
+       bench::probe_series(registry, "copies_mean").downsample(30)) {
     std::printf("%10.0f %8.1f %8.2f %8.1f\n", s.time,
                 min_s.value_at(s.time), s.value, max_s.value_at(s.time));
   }
 
   // Steady-state check: min copies during the local peer's leecher phase.
   double min_while_leecher = 1e18;
-  const double ls_end = log.seed_time() >= 0 ? log.seed_time() : end;
+  const double ls_end = seed_time >= 0 ? seed_time : end;
   for (const auto& s : min_s.samples()) {
     if (s.time > 30.0 && s.time <= ls_end) {  // skip pre-bitfield startup
       min_while_leecher = std::min(min_while_leecher, s.value);
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nlocal became seed at t=%.0f (drop in copies afterwards "
               "mirrors the paper: a new seed closes connections to "
-              "seeds)\n", log.seed_time());
+              "seeds)\n", seed_time);
   std::printf("paper check — least replicated piece never drops to zero "
               "in steady state: min over leecher phase = %.0f (>= 1)\n",
               min_while_leecher);

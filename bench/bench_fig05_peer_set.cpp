@@ -12,15 +12,20 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 5: size of the local peer set, torrent 7 ===\n");
   bench::print_scale(cfg, seed);
 
-  instrument::LocalPeerLog log(cfg.num_pieces);
-  swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-  instrument::AvailabilitySampler sampler(runner.simulation(),
-                                          runner.local_peer(), 20.0);
-  const double end = runner.run_until_local_complete(3000.0);
-  log.finalize(end);
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
+  swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
+  probe.finalize(runner.run_until_local_complete(3000.0));
+  const auto peers = bench::probe_series(registry, "peer_set");
+  if (peers.empty()) {
+    std::printf("\n(no peer-set samples: the local peer never joined)\n");
+    return 1;
+  }
 
   std::printf("\n%10s %8s  %s\n", "t (s)", "peers", "");
-  for (const auto& s : sampler.peer_set_size().downsample(30)) {
+  for (const auto& s : peers.downsample(30)) {
     std::printf("%10.0f %8.0f  %s\n", s.time, s.value,
                 bench::bar(s.value / max_ps, 40).c_str());
   }
@@ -32,7 +37,6 @@ int main(int argc, char** argv) {
               "times; the scaled swarm's concurrent population is an "
               "order of magnitude smaller, so the set sits lower while "
               "showing the same dynamics.\n",
-              sampler.peer_set_size().max_value(),
-              sampler.peer_set_size().samples().back().value, max_ps);
+              peers.max_value(), peers.samples().back().value, max_ps);
   return 0;
 }

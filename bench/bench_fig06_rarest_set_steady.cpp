@@ -4,7 +4,6 @@
 // drops after each rise). A steady state never relapses into a transient
 // state.
 #include <algorithm>
-#include <vector>
 
 #include "bench_util.h"
 
@@ -17,21 +16,27 @@ int main(int argc, char** argv) {
               "(steady state) ===\n");
   bench::print_scale(cfg, seed);
 
-  instrument::LocalPeerLog log(cfg.num_pieces);
-  swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-  instrument::AvailabilitySampler sampler(runner.simulation(),
-                                          runner.local_peer(), 10.0);
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces,
+                               {.sampling_period = 10.0});
+  swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
   const double end = runner.run_until_local_complete(3000.0);
-  log.finalize(end);
+  probe.finalize(end);
+  const double seed_time =
+      probe.peer_log(runner.local_peer_id())->seed_time();
+  const auto rarest = bench::probe_series(registry, "rarest_set");
+  const auto min_copies = bench::probe_series(registry, "copies_min");
 
   std::printf("\n%10s %10s\n", "t (s)", "#rarest");
-  for (const auto& s : sampler.rarest_set_size().downsample(30)) {
+  for (const auto& s : rarest.downsample(30)) {
     std::printf("%10.0f %10.0f\n", s.time, s.value);
   }
 
   // Sawtooth quantification: count rises (churn events) and how quickly
   // each rise decays (rarest-first duplication speed).
-  const auto& samples = sampler.rarest_set_size().samples();
+  const auto& samples = rarest.samples();
   int rises = 0, fast_decays = 0;
   for (std::size_t i = 1; i + 3 < samples.size(); ++i) {
     if (samples[i].value > samples[i - 1].value) {
@@ -47,9 +52,9 @@ int main(int argc, char** argv) {
   }
   // Floor check over the local peer's leecher phase, skipping the first
   // 30 s (peer set still assembling, bitfields in flight).
-  const double ls_end = log.seed_time() >= 0 ? log.seed_time() : end;
+  const double ls_end = seed_time >= 0 ? seed_time : end;
   double min_floor = 1e18;
-  for (const auto& s : sampler.min_copies().samples()) {
+  for (const auto& s : min_copies.samples()) {
     if (s.time > 30.0 && s.time <= ls_end) {
       min_floor = std::min(min_floor, s.value);
     }

@@ -360,6 +360,28 @@ inline void print_scale(const swarm::ScenarioConfig& cfg,
               static_cast<unsigned long long>(seed));
 }
 
+/// A SwarmProbe series as a stats::TimeSeries (for downsample() and
+/// value_at()), clipped to t <= t_max when t_max >= 0. Exits if the
+/// series is unknown or its ring dropped samples: a figure drawn from a
+/// truncated series would silently lose its start.
+inline stats::TimeSeries probe_series(
+    const instrument::MetricsRegistry& registry, const char* name,
+    double t_max = -1.0) {
+  const instrument::MetricId id = registry.find(name);
+  if (id == instrument::kNoMetric || registry.dropped(id) != 0) {
+    std::fprintf(stderr, "probe series %s: %s\n", name,
+                 id == instrument::kNoMetric
+                     ? "not registered"
+                     : "ring dropped samples; raise series_capacity");
+    std::exit(1);
+  }
+  stats::TimeSeries out;
+  for (const stats::Sample& s : registry.samples(id)) {
+    if (t_max < 0.0 || s.time <= t_max) out.add(s.time, s.value);
+  }
+  return out;
+}
+
 /// Runs one scenario with an instrumented local peer until the local peer
 /// completes (plus `extra_after` seconds of seed state), finalizing the
 /// log at the stop time.

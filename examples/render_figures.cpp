@@ -22,6 +22,19 @@ namespace {
 
 using namespace swarmlab;
 
+/// One of the probe's focus-peer series as a chart line.
+viz::Series probe_line(const instrument::MetricsRegistry& registry,
+                       const char* name, std::string label) {
+  const instrument::MetricId id = registry.find(name);
+  if (registry.dropped(id) != 0) {
+    std::fprintf(stderr, "series %s dropped samples\n", name);
+    std::exit(1);
+  }
+  stats::TimeSeries ts;
+  for (const stats::Sample& s : registry.samples(id)) ts.add(s.time, s.value);
+  return viz::from_time_series(ts, std::move(label));
+}
+
 void write_svg(const std::filesystem::path& dir, const std::string& name,
                const std::string& svg) {
   const auto path = dir / name;
@@ -45,25 +58,25 @@ int main(int argc, char** argv) {
   // --- torrent 8 (transient): Figs. 2 and 3 -----------------------------
   {
     auto cfg = swarm::scenario_from_table1(8, limits);
-    instrument::LocalPeerLog log(cfg.num_pieces);
-    swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-    instrument::AvailabilitySampler sampler(runner.simulation(),
-                                            runner.local_peer(), 20.0);
-    runner.run_until_local_complete(0.0);
+    instrument::MetricsRegistry registry;
+    instrument::SwarmProbe probe(registry, cfg.num_pieces);
+    swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+    swarm::bind_probe(probe, runner);
+    probe.force_sample(0.0);
+    probe.finalize(runner.run_until_local_complete(0.0));
 
     write_svg(dir, "fig02_replication_transient.svg",
               viz::render_line_chart(
-                  {viz::from_time_series(sampler.max_copies(), "max"),
-                   viz::from_time_series(sampler.mean_copies(), "mean"),
-                   viz::from_time_series(sampler.min_copies(), "min")},
+                  {probe_line(registry, "copies_max", "max"),
+                   probe_line(registry, "copies_mean", "mean"),
+                   probe_line(registry, "copies_min", "min")},
                   {.title = "Fig. 2 — piece copies in the peer set "
                             "(torrent 8, transient)",
                    .x_label = "time (s)",
                    .y_label = "number of copies"}));
     write_svg(dir, "fig03_rarest_transient.svg",
               viz::render_line_chart(
-                  {viz::from_time_series(sampler.rarest_set_size(),
-                                         "rarest set size")},
+                  {probe_line(registry, "rarest_set", "rarest set size")},
                   {.title = "Fig. 3 — number of rarest pieces "
                             "(torrent 8, transient)",
                    .x_label = "time (s)",
@@ -73,41 +86,40 @@ int main(int argc, char** argv) {
   // --- torrent 7 (steady): Figs. 4, 5, 6 and 10 --------------------------
   {
     auto cfg = swarm::scenario_from_table1(7, limits);
-    instrument::LocalPeerLog log(cfg.num_pieces);
-    swarm::ScenarioRunner runner(std::move(cfg), seed, &log);
-    instrument::AvailabilitySampler sampler(runner.simulation(),
-                                            runner.local_peer(), 15.0);
-    const double end = runner.run_until_local_complete(6000.0);
-    log.finalize(end);
+    instrument::MetricsRegistry registry;
+    instrument::SwarmProbe probe(registry, cfg.num_pieces,
+                                 {.sampling_period = 15.0});
+    swarm::ScenarioRunner runner(std::move(cfg), seed, nullptr, &probe);
+    swarm::bind_probe(probe, runner);
+    probe.force_sample(0.0);
+    probe.finalize(runner.run_until_local_complete(6000.0));
 
     write_svg(dir, "fig04_replication_steady.svg",
               viz::render_line_chart(
-                  {viz::from_time_series(sampler.max_copies(), "max"),
-                   viz::from_time_series(sampler.mean_copies(), "mean"),
-                   viz::from_time_series(sampler.min_copies(), "min")},
+                  {probe_line(registry, "copies_max", "max"),
+                   probe_line(registry, "copies_mean", "mean"),
+                   probe_line(registry, "copies_min", "min")},
                   {.title = "Fig. 4 — piece copies in the peer set "
                             "(torrent 7, steady state)",
                    .x_label = "time (s)",
                    .y_label = "number of copies"}));
     write_svg(dir, "fig05_peer_set.svg",
               viz::render_line_chart(
-                  {viz::from_time_series(sampler.peer_set_size(),
-                                         "peer set size")},
+                  {probe_line(registry, "peer_set", "peer set size")},
                   {.title = "Fig. 5 — size of the local peer set "
                             "(torrent 7)",
                    .x_label = "time (s)",
                    .y_label = "peers"}));
     write_svg(dir, "fig06_rarest_steady.svg",
               viz::render_line_chart(
-                  {viz::from_time_series(sampler.rarest_set_size(),
-                                         "rarest set size")},
+                  {probe_line(registry, "rarest_set", "rarest set size")},
                   {.title = "Fig. 6 — number of rarest pieces "
                             "(torrent 7, steady state)",
                    .x_label = "time (s)",
                    .y_label = "# rarest pieces"}));
 
-    const auto ls = instrument::analyze_unchoke_correlation_leecher(log);
-    const auto ss = instrument::analyze_unchoke_correlation_seed(log);
+    const auto ls = probe.unchoke_correlation(runner.local_peer_id(), false);
+    const auto ss = probe.unchoke_correlation(runner.local_peer_id(), true);
     viz::Series ls_pts{"leecher state", {}};
     for (std::size_t i = 0; i < ls.unchokes.size(); ++i) {
       ls_pts.points.emplace_back(ls.interested_time[i], ls.unchokes[i]);

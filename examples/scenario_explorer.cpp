@@ -29,6 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "swarmlab/swarmlab.h"
 
@@ -213,18 +214,20 @@ int main(int argc, char** argv) {
               cfg.num_pieces, 100 * cfg.free_rider_fraction,
               static_cast<unsigned long long>(rng_seed));
 
-  instrument::LocalPeerLog log(cfg.num_pieces);
+  // The probe (focus = the local peer) keeps the local peer's log and
+  // its availability time series; the trace rides the local hook.
   instrument::TraceWriter trace(/*max_events=*/2'000'000);
-  instrument::ObserverList observers;
-  observers.add(&log);
-  observers.add(&trace);
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
 
   const std::string scenario_name = cfg.name;
-  swarm::ScenarioRunner runner(std::move(cfg), rng_seed, &observers);
-  instrument::AvailabilitySampler sampler(runner.simulation(),
-                                          runner.local_peer(), 20.0);
+  swarm::ScenarioRunner runner(std::move(cfg), rng_seed, &trace, &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
   const double end = runner.run_until_local_complete(2000.0);
-  log.finalize(end);
+  probe.finalize(end);
+  const instrument::LocalPeerLog& log =
+      *probe.peer_log(runner.local_peer_id());
 
   // --- report -----------------------------------------------------------
   const peer::Peer& local = runner.local_peer();
@@ -286,15 +289,18 @@ int main(int argc, char** argv) {
   }
   if (!series_file.empty()) {
     std::ofstream out(series_file);
+    const char* const columns[] = {"copies_min", "copies_mean", "copies_max",
+                                   "rarest_set", "peer_set"};
+    // The five focus series are recorded together, row for row.
+    std::vector<std::vector<stats::Sample>> series;
+    for (const char* name : columns) {
+      series.push_back(registry.samples(registry.find(name)));
+    }
     out << "time,min_copies,mean_copies,max_copies,rarest_set,peer_set\n";
-    const auto& mean = sampler.mean_copies();
-    for (std::size_t i = 0; i < mean.size(); ++i) {
-      const double t = mean.samples()[i].time;
-      out << t << ',' << sampler.min_copies().samples()[i].value << ','
-          << mean.samples()[i].value << ','
-          << sampler.max_copies().samples()[i].value << ','
-          << sampler.rarest_set_size().samples()[i].value << ','
-          << sampler.peer_set_size().samples()[i].value << '\n';
+    for (std::size_t i = 0; i < series[0].size(); ++i) {
+      out << series[0][i].time;
+      for (const auto& column : series) out << ',' << column[i].value;
+      out << '\n';
     }
     std::printf("wrote time series to %s\n", series_file.c_str());
   }

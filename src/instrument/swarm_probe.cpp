@@ -80,9 +80,8 @@ SwarmProbe::PeerState& SwarmProbe::ensure(peer::PeerId self) {
     // Detail logs go to the first detail_peer_cap tracked peers
     // (deterministic — first-callback order — and no RNG); later peers
     // get counting-only state.
-    if (opts_.per_peer_detail &&
-        (opts_.detail_peer_cap == 0 ||
-         detailed_peers_ < opts_.detail_peer_cap)) {
+    if (opts_.detail_peer_cap == 0 ||
+        detailed_peers_ < opts_.detail_peer_cap) {
       ++detailed_peers_;
       it->second.log = std::make_unique<LocalPeerLog>(num_pieces_);
       it->second.market = std::make_unique<ChokeMarketLog>();

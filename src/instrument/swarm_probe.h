@@ -2,7 +2,14 @@
 // swarm's ObserverHub) to any subset of peers, aggregating the cross-peer
 // series a single instrumented client can never see — piece replication
 // entropy, choke/unchoke churn, per-capacity-class upload utilization and
-// interested/unchoked matrix occupancy — into a MetricsRegistry.
+// interested/unchoked matrix occupancy — into a MetricsRegistry. It also
+// records the focus peer's view of its peer set (copies_min/mean/max,
+// rarest_set, peer_set): the series behind the paper's Figs. 2–6.
+//
+// `replication_entropy` is the normalized Shannon entropy of the global
+// piece-copy counts. It is not the paper's entropy: that is the
+// pairwise-interest fraction of swarm/entropy.h (swarm_entropy()), which
+// the probe does not record.
 //
 // Strictly passive by construction: the probe schedules no simulator
 // events and draws no randomness. Time series are sampled at observer
@@ -40,12 +47,9 @@ class SwarmProbe final : public peer::SwarmObserver {
     double sampling_period = 20.0;
     /// Ring capacity per registered series.
     std::size_t series_capacity = 2048;
-    /// Keep full per-peer detail (a LocalPeerLog + ChokeMarketLog per
-    /// tracked peer) — required by peer_log() / market_stats() /
-    /// unchoke_correlation(); disable for cheap counting-only probes.
-    bool per_peer_detail = true;
-    /// With per_peer_detail, cap detail to the first N tracked peers
-    /// (0 = unlimited, the historical behavior). Peers beyond the cap
+    /// Full per-peer detail (a LocalPeerLog + ChokeMarketLog, behind
+    /// peer_log() / market_stats() / unchoke_correlation()) goes to the
+    /// first N tracked peers (0 = unlimited). Peers beyond the cap
     /// still feed every counter, matrix aggregate and time series — only
     /// their per-peer logs are skipped. This is what makes kAll scope
     /// affordable on mega swarms: tracking 10k peers with detail logs is
@@ -142,8 +146,8 @@ class SwarmProbe final : public peer::SwarmObserver {
   };
 
   struct PeerState {
-    std::unique_ptr<LocalPeerLog> log;        // null unless per_peer_detail
-    std::unique_ptr<ChokeMarketLog> market;   // null unless per_peer_detail
+    std::unique_ptr<LocalPeerLog> log;        // null beyond detail_peer_cap
+    std::unique_ptr<ChokeMarketLog> market;   // null beyond detail_peer_cap
     std::map<peer::PeerId, Cell> cells;       // current peer set
     std::uint64_t window_up_bytes = 0;        // since the last sample
     MarketStats stats;                        // filled by finalize()

@@ -191,7 +191,13 @@ void Peer::handle_message(PeerId from, const wire::Message& msg) {
 void Peer::on_block_sent(PeerId to, wire::BlockRef block,
                          std::uint32_t bytes) {
   Connection* conn = ctx_.conns.find(to);
-  if (conn == nullptr) return;
+  if (conn == nullptr) {
+    // The block reached the receiver, which completed on it and, as a
+    // new seed, closed its links to seeds (us included) before this
+    // callback ran. The upload still happened.
+    upload_->account_upload(to, block, bytes);
+    return;
+  }
   upload_->on_block_sent(*conn, block, bytes);
 }
 

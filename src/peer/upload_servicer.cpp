@@ -73,11 +73,16 @@ void UploadServicer::on_block_sent(Connection& conn, wire::BlockRef block,
                                    std::uint32_t bytes) {
   conn.upload_flow = 0;
   conn.upload_rate.add(ctx_.now(), bytes);
+  account_upload(conn.remote, block, bytes);
+  start_next_upload(conn);
+}
+
+void UploadServicer::account_upload(PeerId to, wire::BlockRef block,
+                                    std::uint32_t bytes) {
   uploaded_ += bytes;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_block_uploaded(ctx_.now(), conn.remote, block, bytes);
+    ctx_.observer->on_block_uploaded(ctx_.now(), to, block, bytes);
   }
-  start_next_upload(conn);
 }
 
 void UploadServicer::on_disconnect(Connection& conn) {

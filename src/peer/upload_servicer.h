@@ -27,6 +27,11 @@ class UploadServicer {
   void on_block_sent(Connection& conn, wire::BlockRef block,
                      std::uint32_t bytes);
 
+  /// Counts a delivered block and notifies the observer. on_block_sent
+  /// does this too; call it alone for a block that finished after its
+  /// connection was closed.
+  void account_upload(PeerId to, wire::BlockRef block, std::uint32_t bytes);
+
   /// Connection teardown: aborts the in-flight transfer.
   void on_disconnect(Connection& conn);
 

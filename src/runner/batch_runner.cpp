@@ -371,13 +371,7 @@ RunResult run_scenario_job(const BatchJob& job, const JobContext& ctx,
     local_hook = &local_observers;
   }
   swarm::ScenarioRunner runner(job.config, job.seed, local_hook, probe.get());
-  if (probe != nullptr) {
-    swarm::Swarm* sw = &runner.swarm();
-    probe->bind(
-        [sw](peer::PeerId id) -> const peer::Peer* { return sw->find_peer(id); });
-    probe->bind_availability(&sw->global_availability());
-    probe->set_focus(runner.local_peer_id());
-  }
+  if (probe != nullptr) swarm::bind_probe(*probe, runner);
   // Liveness guard: observational until it trips, so attaching it keeps
   // healthy trajectories (and the golden digests) byte-identical.
   sim::ProgressMonitor monitor(ctx.monitor);

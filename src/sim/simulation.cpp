@@ -36,7 +36,7 @@ SimTime Simulation::run_until(SimTime deadline) {
     if (monitor_ != nullptr && monitor_->on_event(now_)) return now_;
   }
   // When the deadline cuts the run short, report the deadline as "now" so
-  // periodic samplers see a full final interval.
+  // a caller stepping on a fixed grid reads state exactly at each step.
   if (!stopped_ && now_ < deadline &&
       deadline < std::numeric_limits<SimTime>::max()) {
     now_ = deadline;

@@ -1,5 +1,6 @@
-// Time-stamped sample series, used by the instrumentation samplers that
-// back the paper's time-axis figures (Figs. 2-6).
+// Time-stamped sample series: the benches copy the SwarmProbe's focus
+// series into one to print and plot the paper's time-axis figures
+// (Figs. 2-6).
 #pragma once
 
 #include <cstddef>

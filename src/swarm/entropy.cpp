@@ -38,14 +38,6 @@ double pair_entropy(const std::vector<const core::Bitfield*>& leechers) {
 }  // namespace
 
 double swarm_entropy(const Swarm& swarm) {
-  // The ledger maintains the same integer pair count incrementally; the
-  // single division below is the only arithmetic either path performs,
-  // so the two are numerically identical (verified by the
-  // ledger-vs-brute-force equivalence test).
-  if (const InterestLedger* ledger = swarm.interest_ledger();
-      ledger != nullptr) {
-    return ledger->entropy();
-  }
   return pair_entropy(active_leecher_bitfields(swarm));
 }
 
@@ -65,35 +57,6 @@ double swarm_entropy_sampled(const Swarm& swarm, std::size_t sample_k,
     sample.push_back(leechers[i]);
   }
   return pair_entropy(sample);
-}
-
-SwarmEntropySampler::SwarmEntropySampler(sim::Simulation& sim,
-                                         const Swarm& swarm, Options opts)
-    : sim_(sim),
-      swarm_(swarm),
-      opts_(opts),
-      estimator_rng_(sim::fork_seed(opts.seed, 0x5A3Bu)) {
-  tick();
-}
-
-SwarmEntropySampler::~SwarmEntropySampler() { stop(); }
-
-void SwarmEntropySampler::stop() {
-  stopped_ = true;
-  if (event_ != 0) {
-    sim_.cancel(event_);
-    event_ = 0;
-  }
-}
-
-void SwarmEntropySampler::tick() {
-  if (stopped_) return;
-  const double value =
-      opts_.sample_k == 0
-          ? swarm_entropy(swarm_)
-          : swarm_entropy_sampled(swarm_, opts_.sample_k, estimator_rng_);
-  series_.add(sim_.now(), value);
-  event_ = sim_.schedule_in(opts_.interval, [this] { tick(); });
 }
 
 }  // namespace swarmlab::swarm

@@ -4,22 +4,27 @@
 // view we can measure the instantaneous fraction of ordered leecher pairs
 // (a, b) where a is interested in b — no sampling through one peer's lens.
 //
-// Three evaluation strategies, one definition:
-//  * swarm_entropy() — exact. Reads the swarm's incremental
-//    InterestLedger in O(1) when enabled (Swarm::enable_interest_ledger),
-//    otherwise falls back to the brute-force O(active-leechers² × pieces)
-//    pair walk. Identical values either way (the ledger maintains the
-//    same integer pair count).
-//  * swarm_entropy_sampled() — estimator for mega swarms, where even the
-//    ledger's O(leechers²) memory is unaffordable: measures the pair
-//    fraction over a uniform sample of K leechers drawn from a private
-//    Rng (never the simulation's — sampling cannot perturb a trajectory).
-//  * SwarmEntropySampler — periodic time series over either strategy.
+// This is the paper's *pairwise-interest* entropy. It is a different
+// quantity from the SwarmProbe's `replication_entropy` series
+// (instrument/swarm_probe.h), which is the normalized Shannon entropy of
+// the piece-copy counts: two swarms can have equal copy counts yet very
+// different pair interest, and vice versa.
+//
+// Two evaluation strategies, one definition:
+//  * swarm_entropy() — exact: the brute-force
+//    O(active-leechers² × pieces / 64) pair walk.
+//  * swarm_entropy_sampled() — estimator for mega swarms, where the
+//    pair walk is unaffordable: measures the pair fraction over a
+//    uniform sample of K leechers drawn from a private Rng (never the
+//    simulation's — sampling cannot perturb a trajectory).
+//
+// Neither schedules anything: callers read them between
+// Simulation::run_until steps (see bench_ablation_piece_selection).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
-#include "stats/timeseries.h"
+#include "sim/rng.h"
 #include "swarm/swarm.h"
 
 namespace swarmlab::swarm {
@@ -27,8 +32,7 @@ namespace swarmlab::swarm {
 /// Instantaneous swarm entropy: over all ordered pairs of active
 /// leechers (a, b), the fraction where a is interested in b (b has a
 /// piece a lacks). 1.0 = ideal entropy. Returns 1.0 when fewer than two
-/// leechers are active (vacuously ideal). O(1) when the swarm's
-/// interest ledger is enabled; brute force otherwise.
+/// leechers are active (vacuously ideal).
 double swarm_entropy(const Swarm& swarm);
 
 /// Sampled estimator: swarm entropy measured over min(sample_k, active
@@ -38,46 +42,5 @@ double swarm_entropy(const Swarm& swarm);
 /// swarm_entropy) whenever sample_k covers every active leecher.
 double swarm_entropy_sampled(const Swarm& swarm, std::size_t sample_k,
                              sim::Rng& rng);
-
-/// Periodic sampler for swarm_entropy. Default is the exact value
-/// (O(1) per tick when the swarm's ledger is enabled); setting
-/// Options::sample_k switches to the swarm_entropy_sampled() estimator,
-/// whose per-tick cost is O(active + sample_k² × pieces / 64) — the
-/// mega-swarm configuration.
-class SwarmEntropySampler {
- public:
-  struct Options {
-    double interval = 60.0;
-    /// 0 = exact; otherwise the estimator's per-tick leecher sample.
-    std::size_t sample_k = 0;
-    /// Seed for the estimator's private Rng stream (ignored when exact).
-    std::uint64_t seed = 0;
-  };
-
-  SwarmEntropySampler(sim::Simulation& sim, const Swarm& swarm,
-                      double interval = 60.0)
-      : SwarmEntropySampler(sim, swarm, Options{interval, 0, 0}) {}
-  SwarmEntropySampler(sim::Simulation& sim, const Swarm& swarm,
-                      Options opts);
-  ~SwarmEntropySampler();
-
-  SwarmEntropySampler(const SwarmEntropySampler&) = delete;
-  SwarmEntropySampler& operator=(const SwarmEntropySampler&) = delete;
-
-  void stop();
-
-  [[nodiscard]] const stats::TimeSeries& entropy() const { return series_; }
-
- private:
-  void tick();
-
-  sim::Simulation& sim_;
-  const Swarm& swarm_;
-  Options opts_;
-  sim::Rng estimator_rng_;  // private stream; never the simulation's
-  sim::EventId event_ = 0;
-  bool stopped_ = false;
-  stats::TimeSeries series_;
-};
 
 }  // namespace swarmlab::swarm

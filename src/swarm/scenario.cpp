@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "instrument/swarm_probe.h"
+
 namespace swarmlab::swarm {
 
 std::vector<CapacityClass> default_capacity_classes() {
@@ -389,22 +391,35 @@ void ScenarioRunner::schedule_churn_tick() {
 
 void ScenarioRunner::run() { sim_->run_until(cfg_.duration); }
 
-double ScenarioRunner::run_until_local_complete(double extra) {
-  assert(cfg_.spawn_local_peer);
-  const double step = 50.0;
+double ScenarioRunner::run_until_local_complete(double extra, double step,
+                                                const StepVisitor& on_step) {
+  assert(cfg_.spawn_local_peer && step > 0.0);
+  const auto stop_time = [&] {
+    const double done = local_peer().completion_time();
+    return done >= 0.0 ? std::min(done + extra, cfg_.duration)
+                       : cfg_.duration;
+  };
+  double stop_at = stop_time();
   // halted(): an attached ProgressMonitor tripped mid-step. run_until()
   // then returns without advancing the clock, so looping on it again
   // would spin the host forever — bail out and report the trip time.
-  while (sim_->now() < cfg_.duration && !sim_->halted() &&
-         local_peer().completion_time() < 0.0) {
-    sim_->run_until(std::min(sim_->now() + step, cfg_.duration));
+  while (sim_->now() < stop_at && !sim_->halted()) {
+    const double next = sim_->now() + step;
+    sim_->run_until(std::min(next, stop_at));
+    if (sim_->halted()) break;
+    if (on_step && sim_->now() == next) on_step(next);
+    stop_at = stop_time();
   }
-  if (sim_->halted()) return sim_->now();
-  const double done = local_peer().completion_time();
-  const double stop_at =
-      done >= 0.0 ? std::min(done + extra, cfg_.duration) : cfg_.duration;
-  sim_->run_until(stop_at);
   return sim_->now();
+}
+
+void bind_probe(instrument::SwarmProbe& probe,
+                const ScenarioRunner& runner) {
+  const Swarm* sw = &runner.swarm();
+  probe.bind(
+      [sw](peer::PeerId id) -> const peer::Peer* { return sw->find_peer(id); });
+  probe.bind_availability(&sw->global_availability());
+  probe.set_focus(runner.local_peer_id());
 }
 
 }  // namespace swarmlab::swarm

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +23,10 @@
 #include "sim/simulation.h"
 #include "swarm/swarm.h"
 #include "wire/geometry.h"
+
+namespace swarmlab::instrument {
+class SwarmProbe;
+}
 
 namespace swarmlab::swarm {
 
@@ -223,9 +228,19 @@ class ScenarioRunner {
   /// Runs to the configured duration.
   void run();
 
+  /// Called between simulation steps with the current time.
+  using StepVisitor = std::function<void(double)>;
+
   /// Runs until the local peer completes, then `extra` more seconds, all
-  /// capped by the configured duration. Returns the stop time.
-  double run_until_local_complete(double extra);
+  /// capped by the configured duration. Returns the stop time. The clock
+  /// advances in `step`-second strides from the current time, and
+  /// completion is noticed at the end of the stride that holds it, so
+  /// with extra = 0 the stop time is that stride's end. `on_step`, when
+  /// set, runs at the end of every full stride (every grid point up to
+  /// the stop time): state read there is read on a fixed grid without
+  /// scheduling an event.
+  double run_until_local_complete(double extra, double step = 50.0,
+                                  const StepVisitor& on_step = {});
 
  private:
   void spawn_initial_population();
@@ -251,5 +266,14 @@ class ScenarioRunner {
   /// fixed for the run, so warm-start sampling never rebuilds it.
   std::vector<wire::PieceIndex> alive_pieces_;
 };
+
+/// Points `probe` at `runner`'s swarm: peer lookups for the per-peer
+/// series, the swarm-global availability for `replication_entropy`, and
+/// the local peer as the focus of the copies/rarest-set/peer-set series
+/// (the paper's instrumented client, Figs. 2-6). Call after the runner
+/// is built; callbacks before then feed the counters but not the
+/// focus series. `runner` must outlive the probe's last callback.
+void bind_probe(instrument::SwarmProbe& probe,
+                const ScenarioRunner& runner);
 
 }  // namespace swarmlab::swarm

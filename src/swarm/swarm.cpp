@@ -99,16 +99,6 @@ void Swarm::mark_inactive(peer::PeerId id) {
   ++active_tombstones_;
 }
 
-void Swarm::enable_interest_ledger() {
-  if (ledger_ != nullptr) return;
-  ledger_ = std::make_unique<InterestLedger>(geo_.num_pieces());
-  for (const peer::PeerId id : active_peer_ids()) {
-    const Slot* slot = slot_of(id);
-    if (slot == nullptr || !slot->in_torrent) continue;
-    if (!slot->peer->is_seed()) ledger_->join(id, slot->peer->have());
-  }
-}
-
 bool Swarm::torrent_alive() const {
   // Combine active peers' bitfields; any piece with zero copies kills the
   // torrent (global_availability_ tracks exactly this).
@@ -141,11 +131,7 @@ void Swarm::start_peer(peer::PeerId id) {
   mark_active(id);
   // Register this peer's initial pieces with the global oracle.
   slot.counted_in_global = true;
-  const core::Bitfield& have = slot.peer->have();
-  global_availability_.add_peer(have);
-  if (ledger_ != nullptr && !slot.peer->is_seed()) {
-    ledger_->join(id, have);
-  }
+  global_availability_.add_peer(slot.peer->have());
   slot.peer->start();
 }
 
@@ -156,7 +142,6 @@ void Swarm::stop_peer(peer::PeerId id) {
   slot.peer->stop();  // disconnects everyone, announces stopped
   slot.in_torrent = false;
   mark_inactive(id);
-  if (ledger_ != nullptr) ledger_->leave(id);
   if (slot.counted_in_global) {
     global_availability_.remove_peer(slot.peer->have());
     slot.counted_in_global = false;
@@ -171,7 +156,6 @@ bool Swarm::crash_peer(peer::PeerId id) {
   slot.peer->crash();  // no Stopped announce, no disconnect callbacks
   slot.in_torrent = false;
   mark_inactive(id);
-  if (ledger_ != nullptr) ledger_->leave(id);
   if (slot.counted_in_global) {
     global_availability_.remove_peer(slot.peer->have());
     slot.counted_in_global = false;
@@ -202,17 +186,6 @@ void Swarm::broadcast_have(peer::PeerId from, wire::PieceIndex piece) {
   global_availability_.add_have(piece);
   peer::Peer* sender = active_peer(from);
   if (sender == nullptr) return;
-  if (ledger_ != nullptr) {
-    // The sender's bitfield already holds the piece. A completing
-    // leecher is a seed now — it leaves the leecher pair set wholesale
-    // (matching the brute-force definition) instead of propagating a
-    // gain it will not keep.
-    if (sender->is_seed()) {
-      ledger_->leave(from);
-    } else {
-      ledger_->on_piece_gain(from, piece);
-    }
-  }
   std::vector<peer::PeerId> targets = sender->connected_peers();
   if (control_fault_) {
     // Faults apply per receiver, so the broadcast decomposes into

@@ -15,7 +15,6 @@
 #include "peer/observer.h"
 #include "peer/peer.h"
 #include "sim/simulation.h"
-#include "swarm/interest_ledger.h"
 #include "swarm/observer_hub.h"
 #include "swarm/tracker.h"
 #include "wire/geometry.h"
@@ -78,7 +77,7 @@ class Swarm final : public peer::Fabric {
   /// Ids of the peers currently in the torrent, ascending. O(active):
   /// the list carries tombstones from departures and compacts them
   /// lazily, so callers that tick over the live population (churn,
-  /// samplers, fault plans) never pay for the swarm's full history.
+  /// entropy walks, fault plans) never pay for the swarm's full history.
   [[nodiscard]] const std::vector<peer::PeerId>& active_peer_ids() const;
 
   /// Number of peers currently in the torrent. O(1).
@@ -88,19 +87,6 @@ class Swarm final : public peer::Fabric {
   /// ever added, not just concurrent) so mega-swarm arrival storms do
   /// not re-allocate the table log(n) times mid-run.
   void reserve_peers(std::size_t expected_total);
-
-  /// Opt-in incremental pair-interest ledger (see interest_ledger.h):
-  /// once enabled, swarm_entropy() reads it in O(1) instead of walking
-  /// every leecher pair. Current active leechers are enrolled
-  /// immediately; membership then tracks start/stop/crash/completion.
-  /// Purely observational (no events, no RNG) — trajectories are
-  /// byte-identical with or without it. O(leechers²) memory: meant for
-  /// per-pair-affordable populations, not 10k-leecher swarms (those use
-  /// swarm_entropy_sampled()).
-  void enable_interest_ledger();
-  [[nodiscard]] const InterestLedger* interest_ledger() const {
-    return ledger_.get();
-  }
 
   [[nodiscard]] Tracker& tracker() { return tracker_; }
   [[nodiscard]] const Tracker& tracker() const { return tracker_; }
@@ -182,7 +168,6 @@ class Swarm final : public peer::Fabric {
   std::size_t active_count_ = 0;
   core::AvailabilityMap global_availability_;
   peer::PeerId next_id_ = 1;
-  std::unique_ptr<InterestLedger> ledger_;  // null unless enabled
   ControlFault control_fault_;  // null in fault-free runs
 };
 

@@ -16,7 +16,6 @@
 #include "instrument/choke_market.h" // equilibrium analysis (§IV-B.2)
 #include "instrument/local_log.h" // instrumented-client log
 #include "instrument/metrics.h"   // counters/gauges/histograms/series
-#include "instrument/samplers.h"  // time-series samplers
 #include "instrument/swarm_probe.h" // swarm-scope passive telemetry
 #include "instrument/trace.h"     // full event trace + observer fan-out
 #include "net/backend.h"          // network-backend registry
@@ -33,7 +32,6 @@
 #include "runner/batch_runner.h"  // parallel batch scenario runner
 #include "runner/json.h"          // machine-readable report writer
 #include "swarm/entropy.h"        // swarm-wide entropy index
-#include "swarm/interest_ledger.h" // incremental pair-interest ledger
 #include "swarm/observer_hub.h"   // per-peer observer attachment
 #include "swarm/scenario.h"       // Table-I rows & scenario runner
 #include "swarm/scenario_catalog.h" // named scenarios & ScenarioBuilder

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/availability.h"
 #include "instrument/metrics.h"
 #include "instrument/swarm_probe.h"
 #include "peer/peer.h"
@@ -83,6 +84,26 @@ TEST(MetricsRegistry, SeriesRingKeepsTheNewestSamples) {
   EXPECT_EQ(reg.dropped(s), 2u);
 }
 
+/// The newest sample of a probe series.
+double last_value(const MetricsRegistry& reg, const char* name) {
+  const auto samples = reg.samples(reg.find(name));
+  EXPECT_FALSE(samples.empty()) << name;
+  return samples.empty() ? -1.0 : samples.back().value;
+}
+
+/// The probe's focus series, sampled at finalize time, must equal the
+/// focus peer's own view of its peer set at that time.
+void expect_focus_series_match(const MetricsRegistry& reg,
+                               const peer::Peer& focus) {
+  const core::AvailabilityMap& avail = focus.availability();
+  EXPECT_EQ(last_value(reg, "copies_min"), avail.min_copies());
+  EXPECT_EQ(last_value(reg, "copies_mean"), avail.mean_copies());
+  EXPECT_EQ(last_value(reg, "copies_max"), avail.max_copies());
+  EXPECT_EQ(last_value(reg, "rarest_set"), avail.rarest_set_size());
+  EXPECT_EQ(last_value(reg, "peer_set"),
+            static_cast<double>(focus.peer_set_size()));
+}
+
 // The probe attached (via the hub) to every peer of a two-peer swarm:
 // its counters must equal ground truth from the trajectory.
 TEST(SwarmProbe, AggregatesMatchGroundTruth) {
@@ -102,14 +123,17 @@ TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   peer::PeerConfig seed_cfg;
   seed_cfg.start_complete = true;
   seed_cfg.upload_capacity = 50e3;
-  sw.start_peer(sw.add_peer(std::move(seed_cfg)));
+  const peer::PeerId s = sw.add_peer(std::move(seed_cfg));
+  sw.start_peer(s);
   peer::PeerConfig cfg;
   cfg.upload_capacity = 50e3;
   const peer::PeerId l = sw.add_peer(std::move(cfg));
   sw.start_peer(l);
+  probe.set_focus(l);
   sim.run_until(2000.0);
   ASSERT_TRUE(sw.find_peer(l)->is_seed());
   probe.finalize(2000.0);
+  expect_focus_series_match(reg, *sw.find_peer(l));
 
   EXPECT_EQ(probe.tracked_peers(), 2u);
   EXPECT_EQ(reg.value(reg.find("peers_started")), 2.0);
@@ -119,13 +143,13 @@ TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   const double bytes = 4.0 * 256.0 * 1024.0;
   EXPECT_EQ(reg.value(reg.find("bytes_downloaded")), bytes);
   EXPECT_EQ(reg.value(reg.find("blocks_received")), 64.0);
-  // The uploader's completion callback for the final block can be
-  // clipped when the downloader finishes and tears the flow down, so
-  // the upload side may trail by at most one block.
-  EXPECT_GE(reg.value(reg.find("blocks_uploaded")), 63.0);
-  EXPECT_LE(reg.value(reg.find("blocks_uploaded")),
-            reg.value(reg.find("blocks_received")));
-  EXPECT_GE(reg.value(reg.find("bytes_uploaded")), bytes - 16.0 * 1024.0);
+  // Every delivered block is an upload, the final one included: the
+  // leecher completes on it and closes its link to the seed before the
+  // seed's completion callback runs, and the seed still counts it.
+  EXPECT_EQ(reg.value(reg.find("blocks_uploaded")), 64.0);
+  EXPECT_EQ(reg.value(reg.find("bytes_uploaded")), bytes);
+  EXPECT_EQ(sw.find_peer(l)->total_downloaded(), 4u * 256u * 1024u);
+  EXPECT_EQ(sw.find_peer(s)->total_uploaded(), 4u * 256u * 1024u);
   // Data-plane block deliveries are synthesized by the fabric (not sent
   // as wire messages), so swarm-wide received >= sent.
   EXPECT_GE(reg.value(reg.find("messages_received")),
@@ -140,6 +164,41 @@ TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   // Per-peer detail: the leecher's log saw all four completions.
   ASSERT_NE(probe.peer_log(l), nullptr);
   EXPECT_EQ(probe.peer_log(l)->piece_events().size(), 4u);
+}
+
+// Mid-download, the focus leecher's peer set holds the seed and the
+// other leecher, so its copy counts are not all zero.
+TEST(SwarmProbe, FocusSeriesMatchTheFocusPeerMidRun) {
+  sim::Simulation sim(3);
+  const wire::ContentGeometry geo(8 * 256 * 1024);
+  swarm::Swarm sw(sim, geo);
+
+  MetricsRegistry reg;
+  SwarmProbe probe(reg, 8);
+  sw.observers().attach_all(&probe);
+  probe.bind([&sw](peer::PeerId id) -> const peer::Peer* {
+    return sw.find_peer(id);
+  });
+
+  peer::PeerConfig seed_cfg;
+  seed_cfg.start_complete = true;
+  seed_cfg.upload_capacity = 20e3;
+  sw.start_peer(sw.add_peer(std::move(seed_cfg)));
+  peer::PeerId focus = peer::kNoPeer;
+  for (int i = 0; i < 2; ++i) {
+    peer::PeerConfig cfg;
+    cfg.upload_capacity = 20e3;
+    focus = sw.add_peer(std::move(cfg));
+    sw.start_peer(focus);
+  }
+  probe.set_focus(focus);
+  sim.run_until(45.0);
+  const peer::Peer& p = *sw.find_peer(focus);
+  ASSERT_FALSE(p.is_seed());
+  ASSERT_EQ(p.peer_set_size(), 2u);
+  probe.finalize(45.0);
+  expect_focus_series_match(reg, p);
+  EXPECT_GE(last_value(reg, "copies_max"), 1.0);
 }
 
 TEST(SwarmProbe, SamplingHonorsThePeriod) {

@@ -1,9 +1,8 @@
 // Mega-swarm scale tier: the correctness side of the O(active) hot
 // paths.
 //
-//  * InterestLedger vs brute force — the incremental pair-interest
-//    ledger must produce the exact swarm_entropy value through
-//    arbitrary churn (joins, warm starts, completions, departures).
+//  * swarm_entropy_sampled — exact when the sample covers every
+//    leecher, deterministic for a given private stream.
 //  * Rng::sample_indices — the sparse (hash-map) partial Fisher-Yates
 //    used for large n must emit the same indices AND consume the same
 //    engine draws as the dense strategy (replay identity).
@@ -24,17 +23,16 @@
 #include "runner/batch_runner.h"
 #include "sim/rng.h"
 #include "swarm/entropy.h"
-#include "swarm/interest_ledger.h"
 #include "swarm/scenario_catalog.h"
 #include "swarm/swarm.h"
 
 namespace swarmlab {
 namespace {
 
-// --- ledger vs brute force -------------------------------------------------
+// --- sampled entropy vs brute force ------------------------------------------
 
-/// The historical O(leechers^2 x pieces) evaluation, kept here as the
-/// oracle the ledger must match exactly.
+/// An independent O(leechers^2 x pieces) evaluation, the oracle the
+/// sampled estimator must match when its sample covers everyone.
 double brute_force_entropy(const swarm::Swarm& s) {
   std::vector<const core::Bitfield*> leechers;
   for (const peer::PeerId id : s.active_peer_ids()) {
@@ -57,7 +55,7 @@ double brute_force_entropy(const swarm::Swarm& s) {
 
 swarm::ScenarioConfig churny_scenario(std::uint32_t leechers) {
   swarm::ScenarioConfig cfg;
-  cfg.name = "ledger-equivalence";
+  cfg.name = "entropy-churn";
   cfg.num_pieces = 24;
   cfg.piece_size = 64 * 1024;
   cfg.block_size = 16 * 1024;
@@ -71,35 +69,6 @@ swarm::ScenarioConfig churny_scenario(std::uint32_t leechers) {
   cfg.leecher_abort_rate = 1.0 / 4000.0;  // leechers leave mid-download
   cfg.duration = 6000.0;
   return cfg;
-}
-
-TEST(InterestLedger, MatchesBruteForceThroughChurn) {
-  for (const std::uint64_t seed : {11u, 42u, 20061025u}) {
-    swarm::ScenarioRunner runner(churny_scenario(12), seed);
-    runner.swarm().enable_interest_ledger();
-    ASSERT_NE(runner.swarm().interest_ledger(), nullptr);
-    // swarm_entropy now reads the ledger; the brute force is our oracle.
-    EXPECT_DOUBLE_EQ(swarm::swarm_entropy(runner.swarm()),
-                     brute_force_entropy(runner.swarm()))
-        << "seed " << seed << " at t=0";
-    for (double t = 400.0; t <= 6000.0; t += 400.0) {
-      runner.simulation().run_until(t);
-      EXPECT_DOUBLE_EQ(swarm::swarm_entropy(runner.swarm()),
-                       brute_force_entropy(runner.swarm()))
-          << "seed " << seed << " at t=" << t;
-    }
-  }
-}
-
-TEST(InterestLedger, EnablingMidRunEnrollsCurrentLeechers) {
-  swarm::ScenarioRunner runner(churny_scenario(8), 7);
-  runner.simulation().run_until(1500.0);
-  runner.swarm().enable_interest_ledger();
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(runner.swarm()),
-                   brute_force_entropy(runner.swarm()));
-  runner.simulation().run_until(3000.0);
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(runner.swarm()),
-                   brute_force_entropy(runner.swarm()));
 }
 
 TEST(SwarmEntropySampled, FullSampleIsExact) {

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "instrument/metrics.h"
+#include "instrument/swarm_probe.h"
 #include "instrument/trace.h"
 #include "peer/observer.h"
 #include "runner/batch_runner.h"
@@ -279,6 +281,42 @@ TEST(DigestUnderObservation, SampledScopeIsEquallyPassive) {
   ASSERT_TRUE(sampled.telemetry.is_object());
   EXPECT_EQ(sampled.telemetry.find("scope")->as_string(), "sampled");
   ASSERT_NE(sampled.telemetry.find("sample_k"), nullptr);
+}
+
+// The figure configuration — kLocal scope, a probe bound to the swarm
+// with the local peer as focus, a forced t = 0 sample — is equally
+// passive: the trajectory matches the unobserved batch job's.
+TEST(DigestUnderObservation, FocusBoundLocalProbeIsEquallyPassive) {
+  const runner::RunResult plain =
+      run_observed(swarm::ObservationPlan::Scope::kLocal);
+
+  swarm::ScenarioConfig cfg = swarm::scenario_from_table1(3, tiny_limits());
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, cfg.num_pieces);
+  swarm::ScenarioRunner runner(cfg, sim::fork_seed(20061025, 1), nullptr,
+                               &probe);
+  swarm::bind_probe(probe, runner);
+  probe.force_sample(0.0);
+  const double end = runner.run_until_local_complete(200.0);
+  probe.finalize(end);
+
+  const sim::Simulation& sim = runner.simulation();
+  EXPECT_EQ(plain.end_time, end);
+  EXPECT_EQ(plain.local_completion, runner.local_peer().completion_time());
+  EXPECT_EQ(plain.events_executed, sim.events_executed());
+  EXPECT_EQ(plain.events_scheduled, sim.events_scheduled());
+  EXPECT_EQ(plain.events_cancelled, sim.events_cancelled());
+  EXPECT_EQ(plain.peak_pending, sim.peak_pending_events());
+  EXPECT_EQ(plain.events_fastpath, sim.events_fastpath());
+  EXPECT_EQ(plain.queue_compactions, sim.queue_compactions());
+
+  // The probe did observe: the focus series hold samples from t = 0 on
+  // and dropped none.
+  const instrument::MetricId copies = registry.find("copies_min");
+  const auto samples = registry.samples(copies);
+  ASSERT_GE(samples.size(), 2u);
+  EXPECT_EQ(samples.front().time, 0.0);
+  EXPECT_EQ(registry.dropped(copies), 0u);
 }
 
 }  // namespace

@@ -79,20 +79,6 @@ TEST(SwarmEntropy, SeedsAreExcluded) {
   EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 0.0);
 }
 
-TEST(SwarmEntropySampler, RecordsSeries) {
-  Harness h;
-  h.add_with({true, false, false, false, false, false, false, false});
-  h.add_with({false, true, false, false, false, false, false, false});
-  swarm::SwarmEntropySampler sampler(h.sim, h.swarm, 10.0);
-  h.sim.run_until(35.0);
-  sampler.stop();
-  EXPECT_GE(sampler.entropy().size(), 3u);
-  // Disjoint holdings at t=0 = ideal entropy; after they trade their
-  // single pieces the holdings are identical and entropy collapses.
-  EXPECT_DOUBLE_EQ(sampler.entropy().samples().front().value, 1.0);
-  EXPECT_DOUBLE_EQ(sampler.entropy().samples().back().value, 0.0);
-}
-
 // --- multi-file metainfo -----------------------------------------------------
 
 TEST(MultiFileMetainfo, RoundTrip) {
