@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
     probe.force_sample(0.0);
     // Time-averaged swarm-wide entropy, read every 120 s between
     // simulation steps (t = 0 included) up to the stop time.
-    double global_sum = swarm::swarm_entropy(runner.swarm());
+    double global_sum = swarm::pairwise_interest_entropy(runner.swarm());
     std::size_t global_n = 1;
     const double end =
         runner.run_until_local_complete(1000.0, 120.0, [&](double) {
-          global_sum += swarm::swarm_entropy(runner.swarm());
+          global_sum += swarm::pairwise_interest_entropy(runner.swarm());
           ++global_n;
         });
     probe.finalize(end);

@@ -12,8 +12,8 @@
 // else.
 //
 // Each job also records a sampled swarm-entropy estimate
-// (swarm_entropy_sampled over 64 leechers, private RNG — the exact
-// O(leechers²) walk would cost more than the simulation at 10k): the
+// (pairwise_interest_entropy_sampled over 64 leechers, private RNG — the
+// exact O(leechers²) walk would cost more than the simulation at 10k): the
 // flash crowd should sit near ideal entropy once startup ends (§IV-A.1).
 //
 // stdout carries wall-clock numbers (NOT byte-stable); end_time, events
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
               // simulation's RNG.
               sim::Rng rng(sim::fork_seed(job.seed, 0xE57u));
               res.metrics["entropy_sampled"] =
-                  swarm::swarm_entropy_sampled(r.swarm(), 64, rng);
+                  swarm::pairwise_interest_entropy_sampled(r.swarm(), 64, rng);
               res.metrics["active_peers"] =
                   static_cast<double>(r.swarm().active_peers());
               res.metrics["peers_total"] =

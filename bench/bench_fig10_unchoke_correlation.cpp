@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Long seed-state tail so the rotation statistics accumulate. The
-  // local peer's log lives inside a SwarmProbe now (attached through the
-  // ObserverHub under the default local-only plan) — the correlation
-  // analyzers see the identical callback stream.
+  // local peer's log lives inside a SwarmProbe (the local peer's observer
+  // under the default local-only plan) — the correlation analyzers see
+  // the identical callback stream.
   const std::uint32_t num_pieces = cfg.num_pieces;
   instrument::MetricsRegistry registry;
   instrument::SwarmProbe probe(registry, num_pieces);

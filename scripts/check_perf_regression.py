@@ -3,17 +3,20 @@
 
 Compares a fresh sweep (swarmlab.batch/* schema, as written by
 ``bench_perf_sweep --json``) against the committed baseline at the repo
-root and fails when any (tier, backend) pair's events-per-second
+root and fails when any (tier, backend, seed) pair's events-per-second
 throughput regressed by more than its threshold.
 
 Usage:
     check_perf_regression.py BASELINE FRESH [--threshold 0.20]
         [--pair-threshold TIER:BACKEND=FRACTION ...]
 
-Pairs are keyed by (tier name, network backend) — the same tier run on
-a different backend is a different workload, so a fluid-vs-packet mixup
-can never silently pass the gate. Only pairs present in BOTH reports
-are compared (so a small-tier CI run gates against the baseline's small
+Pairs are keyed by (tier name, network backend, seed): the same tier on
+a different backend or seed is a different trajectory, so a
+fluid-vs-packet mixup or a reseeded ladder can never silently pass the
+gate. A shared pair must also have executed the same number of events —
+that count is deterministic, so a mismatch means the two reports ran
+different workloads and the gate exits with an error instead of
+comparing them. Only pairs present in BOTH reports are compared (so a small-tier CI run gates against the baseline's small
 tiers without requiring the full ladder). --pair-threshold overrides the
 global threshold for one pair; the packet tiers typically want a looser
 bound than the fluid ones because their wall time is shorter and so
@@ -68,8 +71,9 @@ def load_report(path, role):
     return report
 
 
-def events_per_second(report):
-    """(tier name, backend) -> events/s, from a swarmlab.batch report.
+def tier_runs(report):
+    """(tier name, backend, seed) -> (events, events/s), from a
+    swarmlab.batch report.
 
     Pre-v6 reports lack the per-entry backend field; those entries key
     under "fluid", the only backend that existed then.
@@ -85,7 +89,7 @@ def events_per_second(report):
         sim_wall = wall.get("sim", 0.0) if isinstance(wall, dict) else 0.0
         if not name or not sim_wall:
             continue
-        out[(name, backend)] = events / sim_wall
+        out[(name, backend, entry.get("seed"))] = (events, events / sim_wall)
     return out
 
 
@@ -123,8 +127,8 @@ def main():
     args = ap.parse_args()
     pair_thresholds = parse_pair_thresholds(args.pair_threshold)
 
-    base = events_per_second(load_report(args.baseline, "baseline"))
-    fresh = events_per_second(load_report(args.fresh, "fresh"))
+    base = tier_runs(load_report(args.baseline, "baseline"))
+    fresh = tier_runs(load_report(args.fresh, "fresh"))
 
     if not base or not fresh:
         which = args.baseline if not base else args.fresh
@@ -135,22 +139,39 @@ def main():
     shared = sorted(set(base) & set(fresh))
     if not shared:
         def fmt(keys):
-            return ", ".join(f"{t}[{b}]" for t, b in sorted(keys))
+            return ", ".join(f"{t}[{b}] seed {s}" for t, b, s in sorted(keys))
         sys.exit(
-            "error: no common (tier, backend) pairs between baseline "
+            "error: no common (tier, backend, seed) pairs between baseline "
             f"({fmt(base)}) and fresh report ({fmt(fresh)}) — did the "
-            f"tier names or backend assignments change?"
+            f"tier names, backend assignments or seeds change? Regenerate "
+            f"the baseline with 'bench_perf_sweep --json BENCH_perf.json'."
+        )
+
+    mismatched = [
+        f"{t}[{b}] seed {s}: baseline {base[(t, b, s)][0]} events, "
+        f"fresh {fresh[(t, b, s)][0]}"
+        for t, b, s in shared
+        if base[(t, b, s)][0] != fresh[(t, b, s)][0]
+    ]
+    if mismatched:
+        sys.exit(
+            "error: the deterministic event counts differ, so these pairs "
+            "ran different trajectories and their throughput is not "
+            "comparable:\n  " + "\n  ".join(mismatched) + "\n"
+            "Regenerate the baseline from the current code with "
+            "'bench_perf_sweep --json BENCH_perf.json'."
         )
 
     failures = []
     print(f"{'tier[backend]':<22}{'baseline ev/s':>16}{'fresh ev/s':>16}"
           f"{'delta':>10}{'gate':>8}")
-    for pair in shared:
-        tier, backend = pair
+    for tier, backend, seed in shared:
         label = f"{tier}[{backend}]"
-        threshold = pair_thresholds.get(pair, args.threshold)
-        delta = (fresh[pair] - base[pair]) / base[pair]
-        print(f"{label:<22}{base[pair]:>16.0f}{fresh[pair]:>16.0f}"
+        threshold = pair_thresholds.get((tier, backend), args.threshold)
+        base_evps = base[(tier, backend, seed)][1]
+        fresh_evps = fresh[(tier, backend, seed)][1]
+        delta = (fresh_evps - base_evps) / base_evps
+        print(f"{label:<22}{base_evps:>16.0f}{fresh_evps:>16.0f}"
               f"{delta:>+9.1%}{threshold:>8.0%}")
         if delta < -threshold:
             failures.append(label)
@@ -158,7 +179,8 @@ def main():
             print(f"  note: {label} is >50% faster than baseline — consider "
                   f"refreshing {args.baseline} from the CI artifact")
 
-    unknown = sorted(set(pair_thresholds) - set(base) - set(fresh))
+    known = {(t, b) for t, b, _ in set(base) | set(fresh)}
+    unknown = sorted(set(pair_thresholds) - known)
     for tier, backend in unknown:
         print(f"  note: --pair-threshold {tier}:{backend} matched no entry "
               f"in either report")

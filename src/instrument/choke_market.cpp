@@ -13,9 +13,10 @@ void ChokeMarketLog::flush(RemoteState& state, double t) {
   if (state.unchokes_us) state.unchokes_us_time += dt;
 }
 
-void ChokeMarketLog::on_start(sim::SimTime /*t*/) {}
+void ChokeMarketLog::on_start(peer::PeerId /*self*/, sim::SimTime /*t*/) {}
 
-void ChokeMarketLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
+void ChokeMarketLog::on_peer_joined(peer::PeerId /*self*/, sim::SimTime t,
+                                    peer::PeerId remote) {
   RemoteState& s = remotes_[remote];
   flush(s, t);
   s.in_set = true;
@@ -23,7 +24,8 @@ void ChokeMarketLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
   s.last_flush = t;
 }
 
-void ChokeMarketLog::on_peer_left(sim::SimTime t, peer::PeerId remote) {
+void ChokeMarketLog::on_peer_left(peer::PeerId /*self*/, sim::SimTime t,
+                                  peer::PeerId remote) {
   RemoteState& s = remotes_[remote];
   flush(s, t);
   s.in_set = false;
@@ -34,17 +36,17 @@ void ChokeMarketLog::on_peer_left(sim::SimTime t, peer::PeerId remote) {
   }
 }
 
-void ChokeMarketLog::on_remote_choke_change(sim::SimTime t,
-                                            peer::PeerId remote,
+void ChokeMarketLog::on_remote_choke_change(peer::PeerId /*self*/,
+                                            sim::SimTime t, peer::PeerId remote,
                                             bool unchoked) {
   RemoteState& s = remotes_[remote];
   flush(s, t);
   s.unchokes_us = unchoked;
 }
 
-void ChokeMarketLog::on_choke_round(
-    sim::SimTime t, bool seed_state,
-    const std::vector<peer::PeerId>& unchoked) {
+void ChokeMarketLog::on_choke_round(peer::PeerId /*self*/, sim::SimTime t,
+                                    bool seed_state,
+                                    const std::vector<peer::PeerId>& unchoked) {
   if (seed_state) return;  // the market analysis targets leecher state
   ++stats_.rounds;
   const std::set<peer::PeerId> selected(unchoked.begin(), unchoked.end());
@@ -62,7 +64,7 @@ void ChokeMarketLog::on_choke_round(
   }
 }
 
-void ChokeMarketLog::on_became_seed(sim::SimTime t) {
+void ChokeMarketLog::on_became_seed(peer::PeerId /*self*/, sim::SimTime t) {
   for (auto& [remote, s] : remotes_) {
     flush(s, t);
     if (s.tenure > 0) {

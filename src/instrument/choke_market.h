@@ -42,16 +42,18 @@ struct MarketStats {
 };
 
 /// Observer computing MarketStats for the peer it is attached to.
-class ChokeMarketLog final : public peer::PeerObserver {
+class ChokeMarketLog final : public peer::SwarmObserver {
  public:
-  void on_start(sim::SimTime t) override;
-  void on_peer_joined(sim::SimTime t, peer::PeerId remote) override;
-  void on_peer_left(sim::SimTime t, peer::PeerId remote) override;
-  void on_remote_choke_change(sim::SimTime t, peer::PeerId remote,
-                              bool unchoked) override;
-  void on_choke_round(sim::SimTime t, bool seed_state,
+  void on_start(peer::PeerId self, sim::SimTime t) override;
+  void on_peer_joined(peer::PeerId self, sim::SimTime t,
+                      peer::PeerId remote) override;
+  void on_peer_left(peer::PeerId self, sim::SimTime t,
+                    peer::PeerId remote) override;
+  void on_remote_choke_change(peer::PeerId self, sim::SimTime t,
+                              peer::PeerId remote, bool unchoked) override;
+  void on_choke_round(peer::PeerId self, sim::SimTime t, bool seed_state,
                       const std::vector<peer::PeerId>& unchoked) override;
-  void on_became_seed(sim::SimTime t) override;
+  void on_became_seed(peer::PeerId self, sim::SimTime t) override;
 
   /// Closes open tenures/intervals and returns the statistics.
   [[nodiscard]] MarketStats finalize(double t);

@@ -42,11 +42,16 @@ void LocalPeerLog::flush_all(double t) {
 
 void LocalPeerLog::finalize(double t) { flush_all(t); }
 
-void LocalPeerLog::on_start(sim::SimTime t) { start_time_ = t; }
+void LocalPeerLog::on_start(peer::PeerId /*self*/, sim::SimTime t) {
+  start_time_ = t;
+}
 
-void LocalPeerLog::on_stop(sim::SimTime t) { flush_all(t); }
+void LocalPeerLog::on_stop(peer::PeerId /*self*/, sim::SimTime t) {
+  flush_all(t);
+}
 
-void LocalPeerLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
+void LocalPeerLog::on_peer_joined(peer::PeerId /*self*/, sim::SimTime t,
+                                  peer::PeerId remote) {
   record(remote);
   LiveState& s = live(remote);
   flush(remote, t);
@@ -59,7 +64,8 @@ void LocalPeerLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
   r.remote_is_seed = false;
 }
 
-void LocalPeerLog::on_peer_left(sim::SimTime t, peer::PeerId remote) {
+void LocalPeerLog::on_peer_left(peer::PeerId /*self*/, sim::SimTime t,
+                                peer::PeerId remote) {
   flush(remote, t);
   LiveState& s = live(remote);
   s.in_set = false;
@@ -82,12 +88,14 @@ void LocalPeerLog::note_remote_pieces(peer::PeerId id,
   if (now_seed) r.ever_remote_seed = true;
 }
 
-void LocalPeerLog::on_message_sent(sim::SimTime /*t*/, peer::PeerId /*to*/,
+void LocalPeerLog::on_message_sent(peer::PeerId /*self*/, sim::SimTime /*t*/,
+                                   peer::PeerId /*to*/,
                                    const wire::Message& msg) {
   ++message_counters_.sent[wire::message_name(msg)];
 }
 
-void LocalPeerLog::on_message_received(sim::SimTime t, peer::PeerId from,
+void LocalPeerLog::on_message_received(peer::PeerId /*self*/, sim::SimTime t,
+                                       peer::PeerId from,
                                        const wire::Message& msg) {
   ++message_counters_.received[wire::message_name(msg)];
   if (const auto* bf = std::get_if<wire::BitfieldMsg>(&msg)) {
@@ -99,20 +107,22 @@ void LocalPeerLog::on_message_received(sim::SimTime t, peer::PeerId from,
   }
 }
 
-void LocalPeerLog::on_interest_change(sim::SimTime t, peer::PeerId remote,
-                                      bool interested) {
+void LocalPeerLog::on_interest_change(peer::PeerId /*self*/, sim::SimTime t,
+                                      peer::PeerId remote, bool interested) {
   flush(remote, t);
   live(remote).local_interested = interested;
 }
 
-void LocalPeerLog::on_remote_interest_change(sim::SimTime t,
+void LocalPeerLog::on_remote_interest_change(peer::PeerId /*self*/,
+                                             sim::SimTime t,
                                              peer::PeerId remote,
                                              bool interested) {
   flush(remote, t);
   live(remote).remote_interested = interested;
 }
 
-void LocalPeerLog::on_local_choke_change(sim::SimTime /*t*/,
+void LocalPeerLog::on_local_choke_change(peer::PeerId /*self*/,
+                                         sim::SimTime /*t*/,
                                          peer::PeerId remote, bool unchoked) {
   if (!unchoked) return;
   RemotePeerRecord& r = record(remote);
@@ -123,12 +133,13 @@ void LocalPeerLog::on_local_choke_change(sim::SimTime /*t*/,
   }
 }
 
-void LocalPeerLog::on_remote_choke_change(sim::SimTime /*t*/,
+void LocalPeerLog::on_remote_choke_change(peer::PeerId /*self*/,
+                                          sim::SimTime /*t*/,
                                           peer::PeerId /*remote*/,
                                           bool /*unchoked*/) {}
 
-void LocalPeerLog::on_block_received(sim::SimTime t, peer::PeerId from,
-                                     wire::BlockRef block,
+void LocalPeerLog::on_block_received(peer::PeerId /*self*/, sim::SimTime t,
+                                     peer::PeerId from, wire::BlockRef block,
                                      std::uint32_t bytes) {
   block_events_.push_back(BlockEvent{t, from, block});
   RemotePeerRecord& r = record(from);
@@ -139,8 +150,8 @@ void LocalPeerLog::on_block_received(sim::SimTime t, peer::PeerId from,
   }
 }
 
-void LocalPeerLog::on_block_uploaded(sim::SimTime /*t*/, peer::PeerId to,
-                                     wire::BlockRef /*block*/,
+void LocalPeerLog::on_block_uploaded(peer::PeerId /*self*/, sim::SimTime /*t*/,
+                                     peer::PeerId to, wire::BlockRef /*block*/,
                                      std::uint32_t bytes) {
   RemotePeerRecord& r = record(to);
   if (local_seed_) {
@@ -150,16 +161,16 @@ void LocalPeerLog::on_block_uploaded(sim::SimTime /*t*/, peer::PeerId to,
   }
 }
 
-void LocalPeerLog::on_piece_complete(sim::SimTime t,
+void LocalPeerLog::on_piece_complete(peer::PeerId /*self*/, sim::SimTime t,
                                      wire::PieceIndex piece) {
   piece_events_.push_back(PieceEvent{t, piece});
 }
 
-void LocalPeerLog::on_end_game(sim::SimTime t) {
+void LocalPeerLog::on_end_game(peer::PeerId /*self*/, sim::SimTime t) {
   if (end_game_time_ < 0.0) end_game_time_ = t;
 }
 
-void LocalPeerLog::on_became_seed(sim::SimTime t) {
+void LocalPeerLog::on_became_seed(peer::PeerId /*self*/, sim::SimTime t) {
   flush_all(t);
   local_seed_ = true;
   seed_time_ = t;

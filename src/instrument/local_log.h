@@ -1,5 +1,5 @@
 // LocalPeerLog: the reproduction of the paper's client instrumentation
-// (§III-C). Attached to the local peer as a PeerObserver, it records the
+// (§III-C). Given to the local peer as its SwarmObserver, it records the
 // complete message/choke/event stream and accumulates, per remote peer,
 // the interval and byte statistics every figure of §IV is computed from.
 #pragma once
@@ -71,35 +71,40 @@ struct MessageCounters {
 };
 
 /// The instrumented-client log.
-class LocalPeerLog final : public peer::PeerObserver {
+class LocalPeerLog final : public peer::SwarmObserver {
  public:
   explicit LocalPeerLog(std::uint32_t num_pieces)
       : num_pieces_(num_pieces) {}
 
-  // --- PeerObserver ---------------------------------------------------------
-  void on_start(sim::SimTime t) override;
-  void on_stop(sim::SimTime t) override;
-  void on_peer_joined(sim::SimTime t, peer::PeerId remote) override;
-  void on_peer_left(sim::SimTime t, peer::PeerId remote) override;
-  void on_message_sent(sim::SimTime t, peer::PeerId to,
+  // --- SwarmObserver (`self` is ignored) -----------------------------------
+  void on_start(peer::PeerId self, sim::SimTime t) override;
+  void on_stop(peer::PeerId self, sim::SimTime t) override;
+  void on_peer_joined(peer::PeerId self, sim::SimTime t,
+                      peer::PeerId remote) override;
+  void on_peer_left(peer::PeerId self, sim::SimTime t,
+                    peer::PeerId remote) override;
+  void on_message_sent(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                        const wire::Message& msg) override;
-  void on_message_received(sim::SimTime t, peer::PeerId from,
+  void on_message_received(peer::PeerId self, sim::SimTime t,
+                           peer::PeerId from,
                            const wire::Message& msg) override;
-  void on_interest_change(sim::SimTime t, peer::PeerId remote,
-                          bool interested) override;
-  void on_remote_interest_change(sim::SimTime t, peer::PeerId remote,
+  void on_interest_change(peer::PeerId self, sim::SimTime t,
+                          peer::PeerId remote, bool interested) override;
+  void on_remote_interest_change(peer::PeerId self, sim::SimTime t,
+                                 peer::PeerId remote,
                                  bool interested) override;
-  void on_local_choke_change(sim::SimTime t, peer::PeerId remote,
-                             bool unchoked) override;
-  void on_remote_choke_change(sim::SimTime t, peer::PeerId remote,
-                              bool unchoked) override;
-  void on_block_received(sim::SimTime t, peer::PeerId from,
+  void on_local_choke_change(peer::PeerId self, sim::SimTime t,
+                             peer::PeerId remote, bool unchoked) override;
+  void on_remote_choke_change(peer::PeerId self, sim::SimTime t,
+                              peer::PeerId remote, bool unchoked) override;
+  void on_block_received(peer::PeerId self, sim::SimTime t, peer::PeerId from,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_block_uploaded(sim::SimTime t, peer::PeerId to,
+  void on_block_uploaded(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_piece_complete(sim::SimTime t, wire::PieceIndex piece) override;
-  void on_end_game(sim::SimTime t) override;
-  void on_became_seed(sim::SimTime t) override;
+  void on_piece_complete(peer::PeerId self, sim::SimTime t,
+                         wire::PieceIndex piece) override;
+  void on_end_game(peer::PeerId self, sim::SimTime t) override;
+  void on_became_seed(peer::PeerId self, sim::SimTime t) override;
 
   // --- queries ------------------------------------------------------------
   /// Flushes interval accumulators up to `t` (call before reading records

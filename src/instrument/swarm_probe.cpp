@@ -207,8 +207,8 @@ void SwarmProbe::on_start(peer::PeerId self, sim::SimTime t) {
   registry_.add(c_starts_);
   PeerState& st = ensure(self);
   st.started = true;
-  if (st.log) st.log->on_start(t);
-  if (st.market) st.market->on_start(t);
+  if (st.log) st.log->on_start(self, t);
+  if (st.market) st.market->on_start(self, t);
 }
 
 void SwarmProbe::on_stop(peer::PeerId self, sim::SimTime t) {
@@ -217,8 +217,8 @@ void SwarmProbe::on_stop(peer::PeerId self, sim::SimTime t) {
   PeerState& st = ensure(self);
   st.started = false;
   drop_cells(st);
-  if (st.log) st.log->on_stop(t);
-  if (st.market) st.market->on_stop(t);
+  if (st.log) st.log->on_stop(self, t);
+  if (st.market) st.market->on_stop(self, t);
 }
 
 void SwarmProbe::on_peer_joined(peer::PeerId self, sim::SimTime t,
@@ -227,8 +227,8 @@ void SwarmProbe::on_peer_joined(peer::PeerId self, sim::SimTime t,
   registry_.add(c_joins_);
   PeerState& st = ensure(self);
   if (st.cells.emplace(remote, Cell{}).second) ++total_cells_;
-  if (st.log) st.log->on_peer_joined(t, remote);
-  if (st.market) st.market->on_peer_joined(t, remote);
+  if (st.log) st.log->on_peer_joined(self, t, remote);
+  if (st.market) st.market->on_peer_joined(self, t, remote);
 }
 
 void SwarmProbe::on_peer_left(peer::PeerId self, sim::SimTime t,
@@ -243,8 +243,8 @@ void SwarmProbe::on_peer_left(peer::PeerId self, sim::SimTime t,
     if (it->second.local_unchoked) --unchoked_cells_;
     st.cells.erase(it);
   }
-  if (st.log) st.log->on_peer_left(t, remote);
-  if (st.market) st.market->on_peer_left(t, remote);
+  if (st.log) st.log->on_peer_left(self, t, remote);
+  if (st.market) st.market->on_peer_left(self, t, remote);
 }
 
 void SwarmProbe::on_message_sent(peer::PeerId self, sim::SimTime t,
@@ -252,8 +252,8 @@ void SwarmProbe::on_message_sent(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_msgs_sent_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_message_sent(t, to, msg);
-  if (st.market) st.market->on_message_sent(t, to, msg);
+  if (st.log) st.log->on_message_sent(self, t, to, msg);
+  if (st.market) st.market->on_message_sent(self, t, to, msg);
 }
 
 void SwarmProbe::on_message_received(peer::PeerId self, sim::SimTime t,
@@ -262,16 +262,16 @@ void SwarmProbe::on_message_received(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_msgs_recv_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_message_received(t, from, msg);
-  if (st.market) st.market->on_message_received(t, from, msg);
+  if (st.log) st.log->on_message_received(self, t, from, msg);
+  if (st.market) st.market->on_message_received(self, t, from, msg);
 }
 
 void SwarmProbe::on_interest_change(peer::PeerId self, sim::SimTime t,
                                     peer::PeerId remote, bool interested) {
   maybe_sample(t);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_interest_change(t, remote, interested);
-  if (st.market) st.market->on_interest_change(t, remote, interested);
+  if (st.log) st.log->on_interest_change(self, t, remote, interested);
+  if (st.market) st.market->on_interest_change(self, t, remote, interested);
 }
 
 void SwarmProbe::on_remote_interest_change(peer::PeerId self, sim::SimTime t,
@@ -284,8 +284,10 @@ void SwarmProbe::on_remote_interest_change(peer::PeerId self, sim::SimTime t,
     it->second.remote_interested = interested;
     interested ? ++interested_cells_ : --interested_cells_;
   }
-  if (st.log) st.log->on_remote_interest_change(t, remote, interested);
-  if (st.market) st.market->on_remote_interest_change(t, remote, interested);
+  if (st.log) st.log->on_remote_interest_change(self, t, remote, interested);
+  if (st.market) {
+    st.market->on_remote_interest_change(self, t, remote, interested);
+  }
 }
 
 void SwarmProbe::on_local_choke_change(peer::PeerId self, sim::SimTime t,
@@ -299,16 +301,16 @@ void SwarmProbe::on_local_choke_change(peer::PeerId self, sim::SimTime t,
     it->second.local_unchoked = unchoked;
     unchoked ? ++unchoked_cells_ : --unchoked_cells_;
   }
-  if (st.log) st.log->on_local_choke_change(t, remote, unchoked);
-  if (st.market) st.market->on_local_choke_change(t, remote, unchoked);
+  if (st.log) st.log->on_local_choke_change(self, t, remote, unchoked);
+  if (st.market) st.market->on_local_choke_change(self, t, remote, unchoked);
 }
 
 void SwarmProbe::on_remote_choke_change(peer::PeerId self, sim::SimTime t,
                                         peer::PeerId remote, bool unchoked) {
   maybe_sample(t);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_remote_choke_change(t, remote, unchoked);
-  if (st.market) st.market->on_remote_choke_change(t, remote, unchoked);
+  if (st.log) st.log->on_remote_choke_change(self, t, remote, unchoked);
+  if (st.market) st.market->on_remote_choke_change(self, t, remote, unchoked);
 }
 
 void SwarmProbe::on_choke_round(peer::PeerId self, sim::SimTime t,
@@ -317,8 +319,8 @@ void SwarmProbe::on_choke_round(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_rounds_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_choke_round(t, seed_state, unchoked);
-  if (st.market) st.market->on_choke_round(t, seed_state, unchoked);
+  if (st.log) st.log->on_choke_round(self, t, seed_state, unchoked);
+  if (st.market) st.market->on_choke_round(self, t, seed_state, unchoked);
 }
 
 void SwarmProbe::on_block_received(peer::PeerId self, sim::SimTime t,
@@ -328,8 +330,8 @@ void SwarmProbe::on_block_received(peer::PeerId self, sim::SimTime t,
   registry_.add(c_blocks_recv_);
   registry_.add(c_bytes_down_, bytes);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_block_received(t, from, block, bytes);
-  if (st.market) st.market->on_block_received(t, from, block, bytes);
+  if (st.log) st.log->on_block_received(self, t, from, block, bytes);
+  if (st.market) st.market->on_block_received(self, t, from, block, bytes);
 }
 
 void SwarmProbe::on_block_uploaded(peer::PeerId self, sim::SimTime t,
@@ -340,8 +342,8 @@ void SwarmProbe::on_block_uploaded(peer::PeerId self, sim::SimTime t,
   registry_.add(c_bytes_up_, bytes);
   PeerState& st = ensure(self);
   st.window_up_bytes += bytes;
-  if (st.log) st.log->on_block_uploaded(t, to, block, bytes);
-  if (st.market) st.market->on_block_uploaded(t, to, block, bytes);
+  if (st.log) st.log->on_block_uploaded(self, t, to, block, bytes);
+  if (st.market) st.market->on_block_uploaded(self, t, to, block, bytes);
 }
 
 void SwarmProbe::on_piece_complete(peer::PeerId self, sim::SimTime t,
@@ -349,8 +351,8 @@ void SwarmProbe::on_piece_complete(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_pieces_done_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_piece_complete(t, piece);
-  if (st.market) st.market->on_piece_complete(t, piece);
+  if (st.log) st.log->on_piece_complete(self, t, piece);
+  if (st.market) st.market->on_piece_complete(self, t, piece);
 }
 
 void SwarmProbe::on_piece_failed(peer::PeerId self, sim::SimTime t,
@@ -358,24 +360,24 @@ void SwarmProbe::on_piece_failed(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_pieces_failed_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_piece_failed(t, piece);
-  if (st.market) st.market->on_piece_failed(t, piece);
+  if (st.log) st.log->on_piece_failed(self, t, piece);
+  if (st.market) st.market->on_piece_failed(self, t, piece);
 }
 
 void SwarmProbe::on_end_game(peer::PeerId self, sim::SimTime t) {
   maybe_sample(t);
   registry_.add(c_end_games_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_end_game(t);
-  if (st.market) st.market->on_end_game(t);
+  if (st.log) st.log->on_end_game(self, t);
+  if (st.market) st.market->on_end_game(self, t);
 }
 
 void SwarmProbe::on_became_seed(peer::PeerId self, sim::SimTime t) {
   maybe_sample(t);
   registry_.add(c_became_seeds_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_became_seed(t);
-  if (st.market) st.market->on_became_seed(t);
+  if (st.log) st.log->on_became_seed(self, t);
+  if (st.market) st.market->on_became_seed(self, t);
 }
 
 }  // namespace swarmlab::instrument

@@ -1,21 +1,25 @@
-// Swarm-scope telemetry probe: one SwarmObserver subscribed (through the
-// swarm's ObserverHub) to any subset of peers, aggregating the cross-peer
+// Swarm-scope telemetry probe: one SwarmObserver given (by
+// ScenarioRunner, per the ObservationPlan scope, or directly through
+// Swarm::add_peer) to any subset of peers, aggregating the cross-peer
 // series a single instrumented client can never see — piece replication
 // entropy, choke/unchoke churn, per-capacity-class upload utilization and
-// interested/unchoked matrix occupancy — into a MetricsRegistry. It also
-// records the focus peer's view of its peer set (copies_min/mean/max,
-// rarest_set, peer_set): the series behind the paper's Figs. 2–6.
+// interested/unchoked matrix occupancy — into a MetricsRegistry. Every
+// callback carries the observed peer's id (`self`), which keys the
+// probe's per-peer state and is passed through to its per-peer logs. It
+// also records the focus peer's view of its peer set
+// (copies_min/mean/max, rarest_set, peer_set): the series behind the
+// paper's Figs. 2–6.
 //
 // `replication_entropy` is the normalized Shannon entropy of the global
 // piece-copy counts. It is not the paper's entropy: that is the
-// pairwise-interest fraction of swarm/entropy.h (swarm_entropy()), which
-// the probe does not record.
+// pairwise-interest fraction of swarm/entropy.h
+// (pairwise_interest_entropy()), which the probe does not record.
 //
 // Strictly passive by construction: the probe schedules no simulator
 // events and draws no randomness. Time series are sampled at observer
 // callback times, throttled to the configured period, so attaching a
 // probe never changes a trajectory (see the digest-under-observation
-// test in observer_hub_test.cpp).
+// tests in observer_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "instrument/trace.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -70,50 +69,57 @@ void TraceWriter::annotate(double t, std::string kind, peer::PeerId remote,
       TraceEvent{t, std::move(kind), remote, std::move(detail)});
 }
 
-void TraceWriter::on_start(sim::SimTime t) { push(t, "start", 0, ""); }
-void TraceWriter::on_stop(sim::SimTime t) { push(t, "stop", 0, ""); }
+void TraceWriter::on_start(peer::PeerId /*self*/, sim::SimTime t) {
+  push(t, "start", 0, "");
+}
+void TraceWriter::on_stop(peer::PeerId /*self*/, sim::SimTime t) {
+  push(t, "stop", 0, "");
+}
 
-void TraceWriter::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
+void TraceWriter::on_peer_joined(peer::PeerId /*self*/, sim::SimTime t,
+                                 peer::PeerId remote) {
   push(t, "peer_joined", remote, "");
 }
 
-void TraceWriter::on_peer_left(sim::SimTime t, peer::PeerId remote) {
+void TraceWriter::on_peer_left(peer::PeerId /*self*/, sim::SimTime t,
+                               peer::PeerId remote) {
   push(t, "peer_left", remote, "");
 }
 
-void TraceWriter::on_message_sent(sim::SimTime t, peer::PeerId to,
-                                  const wire::Message& msg) {
+void TraceWriter::on_message_sent(peer::PeerId /*self*/, sim::SimTime t,
+                                  peer::PeerId to, const wire::Message& msg) {
   push(t, "msg_sent", to, wire::message_name(msg));
 }
 
-void TraceWriter::on_message_received(sim::SimTime t, peer::PeerId from,
+void TraceWriter::on_message_received(peer::PeerId /*self*/, sim::SimTime t,
+                                      peer::PeerId from,
                                       const wire::Message& msg) {
   push(t, "msg_recv", from, wire::message_name(msg));
 }
 
-void TraceWriter::on_interest_change(sim::SimTime t, peer::PeerId remote,
-                                     bool interested) {
+void TraceWriter::on_interest_change(peer::PeerId /*self*/, sim::SimTime t,
+                                     peer::PeerId remote, bool interested) {
   push(t, "local_interest", remote, interested ? "1" : "0");
 }
 
-void TraceWriter::on_remote_interest_change(sim::SimTime t,
-                                            peer::PeerId remote,
+void TraceWriter::on_remote_interest_change(peer::PeerId /*self*/,
+                                            sim::SimTime t, peer::PeerId remote,
                                             bool interested) {
   push(t, "remote_interest", remote, interested ? "1" : "0");
 }
 
-void TraceWriter::on_local_choke_change(sim::SimTime t, peer::PeerId remote,
-                                        bool unchoked) {
+void TraceWriter::on_local_choke_change(peer::PeerId /*self*/, sim::SimTime t,
+                                        peer::PeerId remote, bool unchoked) {
   push(t, "local_unchoke", remote, unchoked ? "1" : "0");
 }
 
-void TraceWriter::on_remote_choke_change(sim::SimTime t,
-                                         peer::PeerId remote,
-                                         bool unchoked) {
+void TraceWriter::on_remote_choke_change(peer::PeerId /*self*/, sim::SimTime t,
+                                         peer::PeerId remote, bool unchoked) {
   push(t, "remote_unchoke", remote, unchoked ? "1" : "0");
 }
 
-void TraceWriter::on_choke_round(sim::SimTime t, bool seed_state,
+void TraceWriter::on_choke_round(peer::PeerId /*self*/, sim::SimTime t,
+                                 bool seed_state,
                                  const std::vector<peer::PeerId>& unchoked) {
   std::string detail = seed_state ? "seed:" : "leecher:";
   for (std::size_t i = 0; i < unchoked.size(); ++i) {
@@ -123,33 +129,37 @@ void TraceWriter::on_choke_round(sim::SimTime t, bool seed_state,
   push(t, "choke_round", 0, std::move(detail));
 }
 
-void TraceWriter::on_block_received(sim::SimTime t, peer::PeerId from,
-                                    wire::BlockRef block,
+void TraceWriter::on_block_received(peer::PeerId /*self*/, sim::SimTime t,
+                                    peer::PeerId from, wire::BlockRef block,
                                     std::uint32_t bytes) {
   push(t, "block_recv", from,
        std::to_string(block.piece) + "/" + std::to_string(block.block) +
            ":" + std::to_string(bytes));
 }
 
-void TraceWriter::on_block_uploaded(sim::SimTime t, peer::PeerId to,
-                                    wire::BlockRef block,
+void TraceWriter::on_block_uploaded(peer::PeerId /*self*/, sim::SimTime t,
+                                    peer::PeerId to, wire::BlockRef block,
                                     std::uint32_t bytes) {
   push(t, "block_sent", to,
        std::to_string(block.piece) + "/" + std::to_string(block.block) +
            ":" + std::to_string(bytes));
 }
 
-void TraceWriter::on_piece_complete(sim::SimTime t, wire::PieceIndex piece) {
+void TraceWriter::on_piece_complete(peer::PeerId /*self*/, sim::SimTime t,
+                                    wire::PieceIndex piece) {
   push(t, "piece_done", 0, std::to_string(piece));
 }
 
-void TraceWriter::on_piece_failed(sim::SimTime t, wire::PieceIndex piece) {
+void TraceWriter::on_piece_failed(peer::PeerId /*self*/, sim::SimTime t,
+                                  wire::PieceIndex piece) {
   push(t, "piece_failed", 0, std::to_string(piece));
 }
 
-void TraceWriter::on_end_game(sim::SimTime t) { push(t, "end_game", 0, ""); }
+void TraceWriter::on_end_game(peer::PeerId /*self*/, sim::SimTime t) {
+  push(t, "end_game", 0, "");
+}
 
-void TraceWriter::on_became_seed(sim::SimTime t) {
+void TraceWriter::on_became_seed(peer::PeerId /*self*/, sim::SimTime t) {
   push(t, "became_seed", 0, "");
 }
 
@@ -182,120 +192,96 @@ void TraceWriter::write_jsonl(std::ostream& out) const {
 
 // --- ObserverList ---------------------------------------------------------
 
-// Index-based with the size captured at entry: observers added during
-// dispatch (push_back may reallocate) are not visited for the in-flight
-// event, and slots nulled by remove() are skipped. Compaction waits for
-// the outermost dispatch to unwind so indices stay stable.
-template <typename Fn>
-void ObserverList::dispatch(Fn&& fn) {
-  ++depth_;
-  const std::size_t n = observers_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (peer::PeerObserver* o = observers_[i]; o != nullptr) fn(o);
+void ObserverList::on_start(peer::PeerId self, sim::SimTime t) {
+  for (peer::SwarmObserver* o : observers_) o->on_start(self, t);
+}
+void ObserverList::on_stop(peer::PeerId self, sim::SimTime t) {
+  for (peer::SwarmObserver* o : observers_) o->on_stop(self, t);
+}
+void ObserverList::on_peer_joined(peer::PeerId self, sim::SimTime t,
+                                  peer::PeerId remote) {
+  for (peer::SwarmObserver* o : observers_) o->on_peer_joined(self, t, remote);
+}
+void ObserverList::on_peer_left(peer::PeerId self, sim::SimTime t,
+                                peer::PeerId remote) {
+  for (peer::SwarmObserver* o : observers_) o->on_peer_left(self, t, remote);
+}
+void ObserverList::on_message_sent(peer::PeerId self, sim::SimTime t,
+                                   peer::PeerId to, const wire::Message& msg) {
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_message_sent(self, t, to, msg);
   }
-  if (--depth_ == 0 && dirty_) {
-    std::erase(observers_, static_cast<peer::PeerObserver*>(nullptr));
-    dirty_ = false;
-  }
 }
-
-bool ObserverList::remove(peer::PeerObserver* observer) {
-  const auto it = std::find(observers_.begin(), observers_.end(), observer);
-  if (it == observers_.end()) return false;
-  if (depth_ > 0) {
-    *it = nullptr;
-    dirty_ = true;
-  } else {
-    observers_.erase(it);
-  }
-  return true;
-}
-
-std::size_t ObserverList::size() const {
-  return static_cast<std::size_t>(
-      std::count_if(observers_.begin(), observers_.end(),
-                    [](const peer::PeerObserver* o) { return o != nullptr; }));
-}
-
-void ObserverList::on_start(sim::SimTime t) {
-  dispatch([&](peer::PeerObserver* o) { o->on_start(t); });
-}
-void ObserverList::on_stop(sim::SimTime t) {
-  dispatch([&](peer::PeerObserver* o) { o->on_stop(t); });
-}
-void ObserverList::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
-  dispatch([&](peer::PeerObserver* o) { o->on_peer_joined(t, remote); });
-}
-void ObserverList::on_peer_left(sim::SimTime t, peer::PeerId remote) {
-  dispatch([&](peer::PeerObserver* o) { o->on_peer_left(t, remote); });
-}
-void ObserverList::on_message_sent(sim::SimTime t, peer::PeerId to,
-                                   const wire::Message& msg) {
-  dispatch([&](peer::PeerObserver* o) { o->on_message_sent(t, to, msg); });
-}
-void ObserverList::on_message_received(sim::SimTime t, peer::PeerId from,
+void ObserverList::on_message_received(peer::PeerId self, sim::SimTime t,
+                                       peer::PeerId from,
                                        const wire::Message& msg) {
-  dispatch(
-      [&](peer::PeerObserver* o) { o->on_message_received(t, from, msg); });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_message_received(self, t, from, msg);
+  }
 }
-void ObserverList::on_interest_change(sim::SimTime t, peer::PeerId remote,
-                                      bool interested) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_interest_change(t, remote, interested);
-  });
+void ObserverList::on_interest_change(peer::PeerId self, sim::SimTime t,
+                                      peer::PeerId remote, bool interested) {
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_interest_change(self, t, remote, interested);
+  }
 }
-void ObserverList::on_remote_interest_change(sim::SimTime t,
+void ObserverList::on_remote_interest_change(peer::PeerId self,
+                                             sim::SimTime t,
                                              peer::PeerId remote,
                                              bool interested) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_remote_interest_change(t, remote, interested);
-  });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_remote_interest_change(self, t, remote, interested);
+  }
 }
-void ObserverList::on_local_choke_change(sim::SimTime t, peer::PeerId remote,
-                                         bool unchoked) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_local_choke_change(t, remote, unchoked);
-  });
+void ObserverList::on_local_choke_change(peer::PeerId self, sim::SimTime t,
+                                         peer::PeerId remote, bool unchoked) {
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_local_choke_change(self, t, remote, unchoked);
+  }
 }
-void ObserverList::on_remote_choke_change(sim::SimTime t,
+void ObserverList::on_remote_choke_change(peer::PeerId self, sim::SimTime t,
                                           peer::PeerId remote,
                                           bool unchoked) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_remote_choke_change(t, remote, unchoked);
-  });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_remote_choke_change(self, t, remote, unchoked);
+  }
 }
-void ObserverList::on_choke_round(sim::SimTime t, bool seed_state,
+void ObserverList::on_choke_round(peer::PeerId self, sim::SimTime t,
+                                  bool seed_state,
                                   const std::vector<peer::PeerId>& unchoked) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_choke_round(t, seed_state, unchoked);
-  });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_choke_round(self, t, seed_state, unchoked);
+  }
 }
-void ObserverList::on_block_received(sim::SimTime t, peer::PeerId from,
-                                     wire::BlockRef block,
+void ObserverList::on_block_received(peer::PeerId self, sim::SimTime t,
+                                     peer::PeerId from, wire::BlockRef block,
                                      std::uint32_t bytes) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_block_received(t, from, block, bytes);
-  });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_block_received(self, t, from, block, bytes);
+  }
 }
-void ObserverList::on_block_uploaded(sim::SimTime t, peer::PeerId to,
-                                     wire::BlockRef block,
+void ObserverList::on_block_uploaded(peer::PeerId self, sim::SimTime t,
+                                     peer::PeerId to, wire::BlockRef block,
                                      std::uint32_t bytes) {
-  dispatch([&](peer::PeerObserver* o) {
-    o->on_block_uploaded(t, to, block, bytes);
-  });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_block_uploaded(self, t, to, block, bytes);
+  }
 }
-void ObserverList::on_piece_complete(sim::SimTime t,
+void ObserverList::on_piece_complete(peer::PeerId self, sim::SimTime t,
                                      wire::PieceIndex piece) {
-  dispatch([&](peer::PeerObserver* o) { o->on_piece_complete(t, piece); });
+  for (peer::SwarmObserver* o : observers_) {
+    o->on_piece_complete(self, t, piece);
+  }
 }
-void ObserverList::on_piece_failed(sim::SimTime t, wire::PieceIndex piece) {
-  dispatch([&](peer::PeerObserver* o) { o->on_piece_failed(t, piece); });
+void ObserverList::on_piece_failed(peer::PeerId self, sim::SimTime t,
+                                   wire::PieceIndex piece) {
+  for (peer::SwarmObserver* o : observers_) o->on_piece_failed(self, t, piece);
 }
-void ObserverList::on_end_game(sim::SimTime t) {
-  dispatch([&](peer::PeerObserver* o) { o->on_end_game(t); });
+void ObserverList::on_end_game(peer::PeerId self, sim::SimTime t) {
+  for (peer::SwarmObserver* o : observers_) o->on_end_game(self, t);
 }
-void ObserverList::on_became_seed(sim::SimTime t) {
-  dispatch([&](peer::PeerObserver* o) { o->on_became_seed(t); });
+void ObserverList::on_became_seed(peer::PeerId self, sim::SimTime t) {
+  for (peer::SwarmObserver* o : observers_) o->on_became_seed(self, t);
 }
 
 }  // namespace swarmlab::instrument

@@ -22,41 +22,48 @@ struct TraceEvent {
   std::string detail;    ///< message name / piece index / flag value
 };
 
-/// Records every observer callback as a structured row; can render the
-/// log as CSV for offline analysis (the paper's trace files).
-class TraceWriter final : public peer::PeerObserver {
+/// Records every observer callback of one peer as a structured row; can
+/// render the log as CSV for offline analysis (the paper's trace files).
+/// `self` is ignored and never written: a trace is one peer's log.
+class TraceWriter final : public peer::SwarmObserver {
  public:
   /// `max_events` caps memory (0 = unlimited); past the cap, new events
   /// are dropped and `dropped()` counts them.
   explicit TraceWriter(std::size_t max_events = 0)
       : max_events_(max_events) {}
 
-  void on_start(sim::SimTime t) override;
-  void on_stop(sim::SimTime t) override;
-  void on_peer_joined(sim::SimTime t, peer::PeerId remote) override;
-  void on_peer_left(sim::SimTime t, peer::PeerId remote) override;
-  void on_message_sent(sim::SimTime t, peer::PeerId to,
+  void on_start(peer::PeerId self, sim::SimTime t) override;
+  void on_stop(peer::PeerId self, sim::SimTime t) override;
+  void on_peer_joined(peer::PeerId self, sim::SimTime t,
+                      peer::PeerId remote) override;
+  void on_peer_left(peer::PeerId self, sim::SimTime t,
+                    peer::PeerId remote) override;
+  void on_message_sent(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                        const wire::Message& msg) override;
-  void on_message_received(sim::SimTime t, peer::PeerId from,
+  void on_message_received(peer::PeerId self, sim::SimTime t,
+                           peer::PeerId from,
                            const wire::Message& msg) override;
-  void on_interest_change(sim::SimTime t, peer::PeerId remote,
-                          bool interested) override;
-  void on_remote_interest_change(sim::SimTime t, peer::PeerId remote,
+  void on_interest_change(peer::PeerId self, sim::SimTime t,
+                          peer::PeerId remote, bool interested) override;
+  void on_remote_interest_change(peer::PeerId self, sim::SimTime t,
+                                 peer::PeerId remote,
                                  bool interested) override;
-  void on_local_choke_change(sim::SimTime t, peer::PeerId remote,
-                             bool unchoked) override;
-  void on_remote_choke_change(sim::SimTime t, peer::PeerId remote,
-                              bool unchoked) override;
-  void on_choke_round(sim::SimTime t, bool seed_state,
+  void on_local_choke_change(peer::PeerId self, sim::SimTime t,
+                             peer::PeerId remote, bool unchoked) override;
+  void on_remote_choke_change(peer::PeerId self, sim::SimTime t,
+                              peer::PeerId remote, bool unchoked) override;
+  void on_choke_round(peer::PeerId self, sim::SimTime t, bool seed_state,
                       const std::vector<peer::PeerId>& unchoked) override;
-  void on_block_received(sim::SimTime t, peer::PeerId from,
+  void on_block_received(peer::PeerId self, sim::SimTime t, peer::PeerId from,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_block_uploaded(sim::SimTime t, peer::PeerId to,
+  void on_block_uploaded(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_piece_complete(sim::SimTime t, wire::PieceIndex piece) override;
-  void on_piece_failed(sim::SimTime t, wire::PieceIndex piece) override;
-  void on_end_game(sim::SimTime t) override;
-  void on_became_seed(sim::SimTime t) override;
+  void on_piece_complete(peer::PeerId self, sim::SimTime t,
+                         wire::PieceIndex piece) override;
+  void on_piece_failed(peer::PeerId self, sim::SimTime t,
+                       wire::PieceIndex piece) override;
+  void on_end_game(peer::PeerId self, sim::SimTime t) override;
+  void on_became_seed(peer::PeerId self, sim::SimTime t) override;
 
   /// Appends a custom annotation row (same cap/drop accounting as the
   /// observer callbacks). `kind` and `detail` may contain any bytes —
@@ -92,62 +99,49 @@ class TraceWriter final : public peer::PeerObserver {
   double last_time_ = 0.0;  ///< time of the newest event, dropped or kept
 };
 
-/// Fans observer callbacks out to several instruments (e.g., a
-/// LocalPeerLog and a TraceWriter on the same peer). Does not own them.
-///
-/// Mutation is safe during dispatch: an observer added from inside a
-/// callback does not receive the in-flight event (only subsequent ones),
-/// and a removed observer — including one removing itself — receives no
-/// further callbacks of the in-flight event. Dispatch order is attach
-/// order.
-class ObserverList final : public peer::PeerObserver {
+/// Fans one peer's callbacks out to several instruments (e.g., a
+/// LocalPeerLog and a TraceWriter on the same peer), in the order they
+/// were added. Does not own them. Add-only: fill it before the peer it
+/// observes starts.
+class ObserverList final : public peer::SwarmObserver {
  public:
-  /// Appends `observer`; it starts receiving events after the current
-  /// dispatch (if any) completes.
-  void add(peer::PeerObserver* observer) { observers_.push_back(observer); }
+  void add(peer::SwarmObserver* observer) { observers_.push_back(observer); }
 
-  /// Removes the first occurrence. Safe mid-dispatch (the slot is
-  /// nulled and compacted once dispatch unwinds). Returns false when
-  /// the observer was not attached.
-  bool remove(peer::PeerObserver* observer);
-
-  /// Currently attached observers (excludes slots removed mid-dispatch).
-  [[nodiscard]] std::size_t size() const;
-
-  void on_start(sim::SimTime t) override;
-  void on_stop(sim::SimTime t) override;
-  void on_peer_joined(sim::SimTime t, peer::PeerId remote) override;
-  void on_peer_left(sim::SimTime t, peer::PeerId remote) override;
-  void on_message_sent(sim::SimTime t, peer::PeerId to,
+  void on_start(peer::PeerId self, sim::SimTime t) override;
+  void on_stop(peer::PeerId self, sim::SimTime t) override;
+  void on_peer_joined(peer::PeerId self, sim::SimTime t,
+                      peer::PeerId remote) override;
+  void on_peer_left(peer::PeerId self, sim::SimTime t,
+                    peer::PeerId remote) override;
+  void on_message_sent(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                        const wire::Message& msg) override;
-  void on_message_received(sim::SimTime t, peer::PeerId from,
+  void on_message_received(peer::PeerId self, sim::SimTime t,
+                           peer::PeerId from,
                            const wire::Message& msg) override;
-  void on_interest_change(sim::SimTime t, peer::PeerId remote,
-                          bool interested) override;
-  void on_remote_interest_change(sim::SimTime t, peer::PeerId remote,
+  void on_interest_change(peer::PeerId self, sim::SimTime t,
+                          peer::PeerId remote, bool interested) override;
+  void on_remote_interest_change(peer::PeerId self, sim::SimTime t,
+                                 peer::PeerId remote,
                                  bool interested) override;
-  void on_local_choke_change(sim::SimTime t, peer::PeerId remote,
-                             bool unchoked) override;
-  void on_remote_choke_change(sim::SimTime t, peer::PeerId remote,
-                              bool unchoked) override;
-  void on_choke_round(sim::SimTime t, bool seed_state,
+  void on_local_choke_change(peer::PeerId self, sim::SimTime t,
+                             peer::PeerId remote, bool unchoked) override;
+  void on_remote_choke_change(peer::PeerId self, sim::SimTime t,
+                              peer::PeerId remote, bool unchoked) override;
+  void on_choke_round(peer::PeerId self, sim::SimTime t, bool seed_state,
                       const std::vector<peer::PeerId>& unchoked) override;
-  void on_block_received(sim::SimTime t, peer::PeerId from,
+  void on_block_received(peer::PeerId self, sim::SimTime t, peer::PeerId from,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_block_uploaded(sim::SimTime t, peer::PeerId to,
+  void on_block_uploaded(peer::PeerId self, sim::SimTime t, peer::PeerId to,
                          wire::BlockRef block, std::uint32_t bytes) override;
-  void on_piece_complete(sim::SimTime t, wire::PieceIndex piece) override;
-  void on_piece_failed(sim::SimTime t, wire::PieceIndex piece) override;
-  void on_end_game(sim::SimTime t) override;
-  void on_became_seed(sim::SimTime t) override;
+  void on_piece_complete(peer::PeerId self, sim::SimTime t,
+                         wire::PieceIndex piece) override;
+  void on_piece_failed(peer::PeerId self, sim::SimTime t,
+                       wire::PieceIndex piece) override;
+  void on_end_game(peer::PeerId self, sim::SimTime t) override;
+  void on_became_seed(peer::PeerId self, sim::SimTime t) override;
 
  private:
-  template <typename Fn>
-  void dispatch(Fn&& fn);
-
-  std::vector<peer::PeerObserver*> observers_;
-  int depth_ = 0;       ///< re-entrant dispatch nesting
-  bool dirty_ = false;  ///< null slots awaiting compaction
+  std::vector<peer::SwarmObserver*> observers_;
 };
 
 }  // namespace swarmlab::instrument

@@ -18,8 +18,8 @@ void ChokeDriver::handle_interested(Connection& conn, bool interested) {
   if (conn.peer_interested == interested) return;
   conn.peer_interested = interested;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_remote_interest_change(ctx_.now(), conn.remote,
-                                             interested);
+    ctx_.observer->on_remote_interest_change(ctx_.cfg.id, ctx_.now(),
+                                             conn.remote, interested);
   }
 }
 
@@ -82,7 +82,7 @@ void ChokeDriver::run_choke_round() {
   }
   apply_unchoke_set(unchoked);
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_choke_round(t, ctx_.is_seed(), unchoked);
+    ctx_.observer->on_choke_round(ctx_.cfg.id, t, ctx_.is_seed(), unchoked);
   }
   schedule_choke_round();
 }
@@ -99,7 +99,8 @@ void ChokeDriver::apply_unchoke_set(const std::vector<PeerId>& selected) {
         conn.last_unchoke_time = ctx_.now();
         ctx_.send(remote, wire::UnchokeMsg{});
         if (ctx_.observer != nullptr) {
-          ctx_.observer->on_local_choke_change(ctx_.now(), remote, true);
+          ctx_.observer->on_local_choke_change(ctx_.cfg.id, ctx_.now(),
+                                               remote, true);
         }
       }
     } else if (!conn.am_choking) {
@@ -116,7 +117,8 @@ void ChokeDriver::apply_unchoke_set(const std::vector<PeerId>& selected) {
       conn.upload_queue.clear();
       ctx_.send(remote, wire::ChokeMsg{});
       if (ctx_.observer != nullptr) {
-        ctx_.observer->on_local_choke_change(ctx_.now(), remote, false);
+        ctx_.observer->on_local_choke_change(ctx_.cfg.id, ctx_.now(), remote,
+                                             false);
       }
     }
   }

@@ -29,7 +29,8 @@ void DownloadScheduler::handle_choke(Connection& conn, bool choked) {
   if (conn.peer_choking == choked) return;
   conn.peer_choking = choked;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_remote_choke_change(ctx_.now(), conn.remote, !choked);
+    ctx_.observer->on_remote_choke_change(ctx_.cfg.id, ctx_.now(),
+                                          conn.remote, !choked);
   }
   if (choked) {
     // Everything outstanding on this link is implicitly dropped by the
@@ -82,7 +83,8 @@ void DownloadScheduler::handle_block(Connection& conn,
   if (was_outstanding) out.erase(it);
 
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_block_received(ctx_.now(), conn.remote, block, bytes);
+    ctx_.observer->on_block_received(ctx_.cfg.id, ctx_.now(), conn.remote,
+                                     block, bytes);
   }
 
   if (ctx_.have.has(block.piece)) {
@@ -214,7 +216,9 @@ std::optional<wire::BlockRef> DownloadScheduler::next_block(Connection& conn) {
       !ctx_.have.complete()) {
     if (!end_game_active_) {
       end_game_active_ = true;
-      if (ctx_.observer != nullptr) ctx_.observer->on_end_game(ctx_.now());
+      if (ctx_.observer != nullptr) {
+        ctx_.observer->on_end_game(ctx_.cfg.id, ctx_.now());
+      }
     }
     return next_end_game_block(conn);  // not mark_requested: already counted
   }
@@ -307,7 +311,7 @@ void DownloadScheduler::complete_piece(wire::PieceIndex piece) {
   retry_exclusive_.erase(piece);
   ctx_.have.set(piece);
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_piece_complete(ctx_.now(), piece);
+    ctx_.observer->on_piece_complete(ctx_.cfg.id, ctx_.now(), piece);
   }
   ctx_.fabric.broadcast_have(ctx_.cfg.id, piece);
   // Interest in some peers may vanish now.
@@ -320,7 +324,7 @@ void DownloadScheduler::discard_piece(wire::PieceIndex piece) {
   if (it == active_pieces_.end()) return;
   ++corrupted_pieces_;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_piece_failed(ctx_.now(), piece);
+    ctx_.observer->on_piece_failed(ctx_.cfg.id, ctx_.now(), piece);
   }
 
   // Blocks of this piece currently counted as unrequested (the rest were
@@ -371,7 +375,7 @@ void DownloadScheduler::become_seed() {
   ctx_.completion_time = ctx_.now();
   end_game_active_ = false;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_became_seed(ctx_.completion_time);
+    ctx_.observer->on_became_seed(ctx_.cfg.id, ctx_.completion_time);
   }
   mods_.peer_set->announce(AnnounceEvent::kCompleted);
   // A new seed closes its connections to all the seeds (paper §IV-A.2.b).

@@ -56,7 +56,7 @@ void InterestTracker::update_interest(Connection& conn) {
     ctx_.send(conn.remote, wire::NotInterestedMsg{});
   }
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_interest_change(ctx_.now(), conn.remote,
+    ctx_.observer->on_interest_change(ctx_.cfg.id, ctx_.now(), conn.remote,
                                       now_interested);
   }
   if (now_interested && !conn.peer_choking) {

@@ -1,7 +1,16 @@
 // Instrumentation hook: the paper's "instrumented client" (§III-C) logs
 // every message, every choke-algorithm state change, the rate estimations
-// and the important protocol events. A PeerObserver receives exactly that
-// stream from the peer it is attached to.
+// and the important protocol events. A SwarmObserver receives exactly that
+// stream from every peer it is given to.
+//
+// This is the one observer interface. Each Peer holds at most one
+// SwarmObserver pointer, fixed when Swarm::add_peer builds it, and calls
+// it directly; every callback carries the observed peer's id (`self`) so
+// one instance can watch many peers. Instruments that only ever watch one
+// peer (LocalPeerLog, TraceWriter, ChokeMarketLog) ignore `self`; several
+// observers on one peer go through an instrument::ObserverList.
+// Implementations must stay strictly passive: no event scheduling, no RNG
+// draws.
 #pragma once
 
 #include <vector>
@@ -14,98 +23,44 @@
 namespace swarmlab::peer {
 
 /// No-op base; the instrument library overrides what it needs.
-class PeerObserver {
- public:
-  virtual ~PeerObserver() = default;
-
-  /// The peer joined the torrent.
-  virtual void on_start(sim::SimTime /*t*/) {}
-  /// The peer left the torrent.
-  virtual void on_stop(sim::SimTime /*t*/) {}
-
-  /// A remote peer entered / left the local peer set.
-  virtual void on_peer_joined(sim::SimTime /*t*/, PeerId /*remote*/) {}
-  virtual void on_peer_left(sim::SimTime /*t*/, PeerId /*remote*/) {}
-
-  /// Full message log (both directions).
-  virtual void on_message_sent(sim::SimTime /*t*/, PeerId /*to*/,
-                               const wire::Message& /*msg*/) {}
-  virtual void on_message_received(sim::SimTime /*t*/, PeerId /*from*/,
-                                   const wire::Message& /*msg*/) {}
-
-  /// Local interest in a remote peer changed.
-  virtual void on_interest_change(sim::SimTime /*t*/, PeerId /*remote*/,
-                                  bool /*interested*/) {}
-  /// The remote peer's interest in the local peer changed.
-  virtual void on_remote_interest_change(sim::SimTime /*t*/,
-                                         PeerId /*remote*/,
-                                         bool /*interested*/) {}
-
-  /// Local peer (un)choked a remote peer. `unchoked` true = unchoke.
-  virtual void on_local_choke_change(sim::SimTime /*t*/, PeerId /*remote*/,
-                                     bool /*unchoked*/) {}
-  /// A remote peer (un)choked the local peer.
-  virtual void on_remote_choke_change(sim::SimTime /*t*/, PeerId /*remote*/,
-                                      bool /*unchoked*/) {}
-
-  /// One choke-algorithm round completed; `unchoked` is the new active
-  /// selection. `seed_state` says which algorithm ran.
-  virtual void on_choke_round(sim::SimTime /*t*/, bool /*seed_state*/,
-                              const std::vector<PeerId>& /*unchoked*/) {}
-
-  /// Data-plane events.
-  virtual void on_block_received(sim::SimTime /*t*/, PeerId /*from*/,
-                                 wire::BlockRef /*block*/,
-                                 std::uint32_t /*bytes*/) {}
-  virtual void on_block_uploaded(sim::SimTime /*t*/, PeerId /*to*/,
-                                 wire::BlockRef /*block*/,
-                                 std::uint32_t /*bytes*/) {}
-  virtual void on_piece_complete(sim::SimTime /*t*/,
-                                 wire::PieceIndex /*piece*/) {}
-
-  /// A completed piece failed hash verification and was discarded.
-  virtual void on_piece_failed(sim::SimTime /*t*/,
-                               wire::PieceIndex /*piece*/) {}
-
-  /// End game mode engaged (logged once).
-  virtual void on_end_game(sim::SimTime /*t*/) {}
-
-  /// The local peer completed the content and entered seed state.
-  virtual void on_became_seed(sim::SimTime /*t*/) {}
-};
-
-/// Swarm-scope observer: the same callback stream as PeerObserver, but
-/// every callback carries the id of the observed peer (`self`) so one
-/// instance can subscribe to many peers at once through the swarm's
-/// ObserverHub. No-op base like PeerObserver; implementations must stay
-/// strictly passive (no event scheduling, no RNG draws).
 class SwarmObserver {
  public:
   virtual ~SwarmObserver() = default;
 
+  /// The peer joined / left the torrent.
   virtual void on_start(PeerId /*self*/, sim::SimTime /*t*/) {}
   virtual void on_stop(PeerId /*self*/, sim::SimTime /*t*/) {}
+  /// A remote peer entered / left the peer set.
   virtual void on_peer_joined(PeerId /*self*/, sim::SimTime /*t*/,
                               PeerId /*remote*/) {}
   virtual void on_peer_left(PeerId /*self*/, sim::SimTime /*t*/,
                             PeerId /*remote*/) {}
+  /// Full message log (both directions).
   virtual void on_message_sent(PeerId /*self*/, sim::SimTime /*t*/,
                                PeerId /*to*/, const wire::Message& /*msg*/) {}
   virtual void on_message_received(PeerId /*self*/, sim::SimTime /*t*/,
                                    PeerId /*from*/,
                                    const wire::Message& /*msg*/) {}
+  /// The observed peer's interest in a remote peer changed.
   virtual void on_interest_change(PeerId /*self*/, sim::SimTime /*t*/,
                                   PeerId /*remote*/, bool /*interested*/) {}
+  /// A remote peer's interest in the observed peer changed.
   virtual void on_remote_interest_change(PeerId /*self*/, sim::SimTime /*t*/,
                                          PeerId /*remote*/,
                                          bool /*interested*/) {}
+  /// The observed peer (un)choked a remote peer. `unchoked` true =
+  /// unchoke.
   virtual void on_local_choke_change(PeerId /*self*/, sim::SimTime /*t*/,
                                      PeerId /*remote*/, bool /*unchoked*/) {}
+  /// A remote peer (un)choked the observed peer.
   virtual void on_remote_choke_change(PeerId /*self*/, sim::SimTime /*t*/,
                                       PeerId /*remote*/, bool /*unchoked*/) {}
+  /// One choke-algorithm round completed; `unchoked` is the new active
+  /// selection. `seed_state` says which algorithm ran.
   virtual void on_choke_round(PeerId /*self*/, sim::SimTime /*t*/,
                               bool /*seed_state*/,
                               const std::vector<PeerId>& /*unchoked*/) {}
+  /// Data-plane events.
   virtual void on_block_received(PeerId /*self*/, sim::SimTime /*t*/,
                                  PeerId /*from*/, wire::BlockRef /*block*/,
                                  std::uint32_t /*bytes*/) {}
@@ -114,80 +69,13 @@ class SwarmObserver {
                                  std::uint32_t /*bytes*/) {}
   virtual void on_piece_complete(PeerId /*self*/, sim::SimTime /*t*/,
                                  wire::PieceIndex /*piece*/) {}
+  /// A completed piece failed hash verification and was discarded.
   virtual void on_piece_failed(PeerId /*self*/, sim::SimTime /*t*/,
                                wire::PieceIndex /*piece*/) {}
+  /// End game mode engaged (logged once).
   virtual void on_end_game(PeerId /*self*/, sim::SimTime /*t*/) {}
+  /// The observed peer completed the content and entered seed state.
   virtual void on_became_seed(PeerId /*self*/, sim::SimTime /*t*/) {}
-};
-
-/// Adapts one peer's PeerObserver callback stream onto a SwarmObserver,
-/// stamping the observed peer's id onto every callback. The ObserverHub
-/// materializes one per (peer, swarm observer) subscription.
-class PeerScopedObserver final : public PeerObserver {
- public:
-  PeerScopedObserver(PeerId self, SwarmObserver* target)
-      : self_(self), target_(target) {}
-
-  [[nodiscard]] SwarmObserver* target() const { return target_; }
-
-  void on_start(sim::SimTime t) override { target_->on_start(self_, t); }
-  void on_stop(sim::SimTime t) override { target_->on_stop(self_, t); }
-  void on_peer_joined(sim::SimTime t, PeerId remote) override {
-    target_->on_peer_joined(self_, t, remote);
-  }
-  void on_peer_left(sim::SimTime t, PeerId remote) override {
-    target_->on_peer_left(self_, t, remote);
-  }
-  void on_message_sent(sim::SimTime t, PeerId to,
-                       const wire::Message& msg) override {
-    target_->on_message_sent(self_, t, to, msg);
-  }
-  void on_message_received(sim::SimTime t, PeerId from,
-                           const wire::Message& msg) override {
-    target_->on_message_received(self_, t, from, msg);
-  }
-  void on_interest_change(sim::SimTime t, PeerId remote,
-                          bool interested) override {
-    target_->on_interest_change(self_, t, remote, interested);
-  }
-  void on_remote_interest_change(sim::SimTime t, PeerId remote,
-                                 bool interested) override {
-    target_->on_remote_interest_change(self_, t, remote, interested);
-  }
-  void on_local_choke_change(sim::SimTime t, PeerId remote,
-                             bool unchoked) override {
-    target_->on_local_choke_change(self_, t, remote, unchoked);
-  }
-  void on_remote_choke_change(sim::SimTime t, PeerId remote,
-                              bool unchoked) override {
-    target_->on_remote_choke_change(self_, t, remote, unchoked);
-  }
-  void on_choke_round(sim::SimTime t, bool seed_state,
-                      const std::vector<PeerId>& unchoked) override {
-    target_->on_choke_round(self_, t, seed_state, unchoked);
-  }
-  void on_block_received(sim::SimTime t, PeerId from, wire::BlockRef block,
-                         std::uint32_t bytes) override {
-    target_->on_block_received(self_, t, from, block, bytes);
-  }
-  void on_block_uploaded(sim::SimTime t, PeerId to, wire::BlockRef block,
-                         std::uint32_t bytes) override {
-    target_->on_block_uploaded(self_, t, to, block, bytes);
-  }
-  void on_piece_complete(sim::SimTime t, wire::PieceIndex piece) override {
-    target_->on_piece_complete(self_, t, piece);
-  }
-  void on_piece_failed(sim::SimTime t, wire::PieceIndex piece) override {
-    target_->on_piece_failed(self_, t, piece);
-  }
-  void on_end_game(sim::SimTime t) override { target_->on_end_game(self_, t); }
-  void on_became_seed(sim::SimTime t) override {
-    target_->on_became_seed(self_, t);
-  }
-
- private:
-  PeerId self_;
-  SwarmObserver* target_;
 };
 
 }  // namespace swarmlab::peer

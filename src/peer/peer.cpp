@@ -16,7 +16,7 @@
 namespace swarmlab::peer {
 
 Peer::Peer(Fabric& fabric, const wire::ContentGeometry& geometry,
-           PeerConfig cfg, PeerObserver* observer)
+           PeerConfig cfg, SwarmObserver* observer)
     : ctx_(fabric, geometry, std::move(cfg), observer) {
   download_ = std::make_unique<DownloadScheduler>(ctx_, mods_);
   upload_ = std::make_unique<UploadServicer>(ctx_, mods_);
@@ -79,12 +79,14 @@ void Peer::start() {
   assert(!ctx_.started);
   ctx_.started = true;
   ctx_.start_time = ctx_.now();
-  if (ctx_.observer != nullptr) ctx_.observer->on_start(ctx_.start_time);
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->on_start(ctx_.cfg.id, ctx_.start_time);
+  }
   if (is_seed()) {
     // An initial seed is in seed state from its first instant.
     ctx_.completion_time = ctx_.start_time;
     if (ctx_.observer != nullptr) {
-      ctx_.observer->on_became_seed(ctx_.start_time);
+      ctx_.observer->on_became_seed(ctx_.cfg.id, ctx_.start_time);
     }
   }
   peer_set_->start();
@@ -101,7 +103,7 @@ void Peer::stop() {
   // Disconnect everything; fabric calls back into on_disconnected.
   const std::vector<PeerId> remotes = connected_peers();
   for (const PeerId r : remotes) ctx_.fabric.disconnect(ctx_.cfg.id, r);
-  if (ctx_.observer != nullptr) ctx_.observer->on_stop(ctx_.now());
+  if (ctx_.observer != nullptr) ctx_.observer->on_stop(ctx_.cfg.id, ctx_.now());
 }
 
 void Peer::crash() {
@@ -112,7 +114,7 @@ void Peer::crash() {
   // Deliberately NO Stopped announce and NO disconnects: the tracker
   // keeps our entry until its member expiry, and every remote peer keeps
   // a ghost Connection until its silence timeout evicts it.
-  if (ctx_.observer != nullptr) ctx_.observer->on_stop(ctx_.now());
+  if (ctx_.observer != nullptr) ctx_.observer->on_stop(ctx_.cfg.id, ctx_.now());
 }
 
 // --- connections ------------------------------------------------------------
@@ -135,7 +137,9 @@ void Peer::on_disconnected(PeerId remote) {
   if (super_seed_ != nullptr) super_seed_->on_disconnect(remote);
   download_->clear_exclusive_source(remote);
   ctx_.conns.erase(remote);
-  if (ctx_.observer != nullptr) ctx_.observer->on_peer_left(ctx_.now(), remote);
+  if (ctx_.observer != nullptr) {
+    ctx_.observer->on_peer_left(ctx_.cfg.id, ctx_.now(), remote);
+  }
   if (active()) peer_set_->maybe_refill_peer_set();
 }
 
@@ -147,7 +151,7 @@ void Peer::handle_message(PeerId from, const wire::Message& msg) {
   if (conn == nullptr) return;  // stale delivery after disconnect
   conn->last_seen = ctx_.now();
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_message_received(ctx_.now(), from, msg);
+    ctx_.observer->on_message_received(ctx_.cfg.id, ctx_.now(), from, msg);
   }
 
   if (const auto* m = std::get_if<wire::BitfieldMsg>(&msg)) {

@@ -8,8 +8,8 @@
 // interest signalling), ChokeDriver (choke rounds), PeerSetManager
 // (tracker, admission, liveness), and SuperSeedPolicy. Peer itself only
 // composes them, routes Fabric callbacks, and answers queries. Only the
-// attached PeerObserver distinguishes the local peer (paper §III-A: a
-// single instrumented mainline 4.0.2 client).
+// SwarmObserver it is built with distinguishes the local peer (paper
+// §III-A: a single instrumented mainline 4.0.2 client).
 #pragma once
 
 #include <cstdint>
@@ -23,18 +23,14 @@ namespace swarmlab::peer {
 /// One simulated BitTorrent peer.
 class Peer {
  public:
+  /// `observer` (may be null) receives this peer's callback stream for
+  /// its whole life; it is fixed here and never changes behaviour.
   Peer(Fabric& fabric, const wire::ContentGeometry& geometry, PeerConfig cfg,
-       PeerObserver* observer = nullptr);
+       SwarmObserver* observer = nullptr);
   ~Peer();
 
   Peer(const Peer&) = delete;
   Peer& operator=(const Peer&) = delete;
-
-  /// Rebinds the observation hook (nullptr detaches). Called by the
-  /// swarm's ObserverHub when subscriptions change; purely a sink swap —
-  /// never alters peer behaviour.
-  void set_observer(PeerObserver* observer) { ctx_.observer = observer; }
-  [[nodiscard]] PeerObserver* observer() const { return ctx_.observer; }
 
   // --- lifecycle -------------------------------------------------------
 

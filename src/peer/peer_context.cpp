@@ -12,7 +12,7 @@ namespace swarmlab::peer {
 
 PeerContext::PeerContext(Fabric& fabric_in,
                          const wire::ContentGeometry& geometry,
-                         PeerConfig config, PeerObserver* obs)
+                         PeerConfig config, SwarmObserver* obs)
     : fabric(fabric_in),
       geo(geometry),
       cfg(std::move(config)),
@@ -48,7 +48,7 @@ void PeerContext::send(PeerId to, wire::Message msg) {
   if (Connection* conn = find_conn(to); conn != nullptr) {
     conn->last_sent = now();
   }
-  if (observer != nullptr) observer->on_message_sent(now(), to, msg);
+  if (observer != nullptr) observer->on_message_sent(cfg.id, now(), to, msg);
   fabric.send_control(cfg.id, to, std::move(msg));
 }
 

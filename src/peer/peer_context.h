@@ -26,7 +26,7 @@
 namespace swarmlab::peer {
 
 class Fabric;
-class PeerObserver;
+class SwarmObserver;
 class DownloadScheduler;
 class UploadServicer;
 class InterestTracker;
@@ -63,12 +63,12 @@ struct PeerConfig {
 /// The state every protocol module shares.
 struct PeerContext {
   PeerContext(Fabric& fabric, const wire::ContentGeometry& geometry,
-              PeerConfig config, PeerObserver* obs);
+              PeerConfig config, SwarmObserver* obs);
 
   Fabric& fabric;
   wire::ContentGeometry geo;
   PeerConfig cfg;
-  PeerObserver* observer;  // may be null
+  SwarmObserver* observer;  // may be null
 
   core::Bitfield have;
   core::AvailabilityMap availability;

@@ -60,7 +60,7 @@ void PeerSetManager::on_connected(PeerId remote, bool initiated_by_us) {
         std::max(ctx_.max_peer_set_leecher, ctx_.conns.size());
   }
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_peer_joined(ctx_.now(), remote);
+    ctx_.observer->on_peer_joined(ctx_.cfg.id, ctx_.now(), remote);
   }
   if (mods_.super_seed != nullptr) {
     // Super seeding: advertise nothing; reveal pieces one at a time.

@@ -81,7 +81,7 @@ void UploadServicer::account_upload(PeerId to, wire::BlockRef block,
                                     std::uint32_t bytes) {
   uploaded_ += bytes;
   if (ctx_.observer != nullptr) {
-    ctx_.observer->on_block_uploaded(ctx_.now(), to, block, bytes);
+    ctx_.observer->on_block_uploaded(ctx_.cfg.id, ctx_.now(), to, block, bytes);
   }
 }
 

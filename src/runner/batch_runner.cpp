@@ -363,7 +363,7 @@ RunResult run_scenario_job(const BatchJob& job, const JobContext& ctx,
   // trace requested the single-observer fast path is untouched.
   std::unique_ptr<instrument::TraceWriter> trace;
   instrument::ObserverList local_observers;
-  peer::PeerObserver* local_hook = &log;
+  peer::SwarmObserver* local_hook = &log;
   if (plan.trace_format != swarm::ObservationPlan::TraceFormat::kNone) {
     trace = std::make_unique<instrument::TraceWriter>(plan.trace_max_events);
     local_observers.add(&log);

@@ -37,12 +37,12 @@ double pair_entropy(const std::vector<const core::Bitfield*>& leechers) {
 
 }  // namespace
 
-double swarm_entropy(const Swarm& swarm) {
+double pairwise_interest_entropy(const Swarm& swarm) {
   return pair_entropy(active_leecher_bitfields(swarm));
 }
 
-double swarm_entropy_sampled(const Swarm& swarm, std::size_t sample_k,
-                             sim::Rng& rng) {
+double pairwise_interest_entropy_sampled(const Swarm& swarm,
+                                         std::size_t sample_k, sim::Rng& rng) {
   std::vector<const core::Bitfield*> leechers =
       active_leecher_bitfields(swarm);
   if (sample_k == 0 || leechers.size() <= sample_k) {

@@ -11,10 +11,10 @@
 // different pair interest, and vice versa.
 //
 // Two evaluation strategies, one definition:
-//  * swarm_entropy() — exact: the brute-force
+//  * pairwise_interest_entropy() — exact: the brute-force
 //    O(active-leechers² × pieces / 64) pair walk.
-//  * swarm_entropy_sampled() — estimator for mega swarms, where the
-//    pair walk is unaffordable: measures the pair fraction over a
+//  * pairwise_interest_entropy_sampled() — estimator for mega swarms,
+//    where the pair walk is unaffordable: measures the pair fraction over a
 //    uniform sample of K leechers drawn from a private Rng (never the
 //    simulation's — sampling cannot perturb a trajectory).
 //
@@ -33,14 +33,15 @@ namespace swarmlab::swarm {
 /// leechers (a, b), the fraction where a is interested in b (b has a
 /// piece a lacks). 1.0 = ideal entropy. Returns 1.0 when fewer than two
 /// leechers are active (vacuously ideal).
-double swarm_entropy(const Swarm& swarm);
+double pairwise_interest_entropy(const Swarm& swarm);
 
 /// Sampled estimator: swarm entropy measured over min(sample_k, active
 /// leechers) leechers chosen uniformly by `rng`. Pass a PRIVATE Rng
 /// (e.g. seeded with sim::fork_seed(seed, tick)) — drawing from the
 /// simulation's Rng would change the trajectory. Exact (and equal to
-/// swarm_entropy) whenever sample_k covers every active leecher.
-double swarm_entropy_sampled(const Swarm& swarm, std::size_t sample_k,
-                             sim::Rng& rng);
+/// pairwise_interest_entropy) whenever sample_k covers every active
+/// leecher.
+double pairwise_interest_entropy_sampled(const Swarm& swarm,
+                                         std::size_t sample_k, sim::Rng& rng);
 
 }  // namespace swarmlab::swarm

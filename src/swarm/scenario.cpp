@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "instrument/swarm_probe.h"
+#include "instrument/trace.h"
 
 namespace swarmlab::swarm {
 
@@ -186,7 +187,7 @@ ScenarioConfig validated(ScenarioConfig cfg) {
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioConfig cfg, std::uint64_t seed,
-                               peer::PeerObserver* local_observer,
+                               peer::SwarmObserver* local_observer,
                                peer::SwarmObserver* swarm_observer)
     : cfg_(validated(std::move(cfg))),
       sim_(std::make_unique<sim::Simulation>(seed)),
@@ -196,11 +197,10 @@ ScenarioRunner::ScenarioRunner(ScenarioConfig cfg, std::uint64_t seed,
                             cfg_.control_latency))),
       local_observer_(local_observer),
       swarm_observer_(swarm_observer) {
-  // Subscribe before any peer spawns: initial peers start (and fire
-  // observer callbacks) synchronously below.
-  if (swarm_observer_ != nullptr &&
-      cfg_.observation.scope == ObservationPlan::Scope::kAll) {
-    swarm_->observers().attach_all(swarm_observer_);
+  if (local_observer_ != nullptr && swarm_observer_ != nullptr) {
+    local_fan_ = std::make_unique<instrument::ObserverList>();
+    local_fan_->add(local_observer_);
+    local_fan_->add(swarm_observer_);
   }
   if (cfg_.faults.any()) {
     // Fault scenarios need the liveness machinery: crashed peers are
@@ -255,9 +255,9 @@ void ScenarioRunner::spawn_initial_population() {
     pc.start_complete = true;
     pc.upload_capacity = cfg_.initial_seed_upload;
     pc.download_capacity = cfg_.initial_seed_download;
-    const peer::PeerId id = swarm_->add_peer(pc);
+    const peer::PeerId id =
+        swarm_->add_peer(pc, observer_for(/*is_local=*/false));
     initial_seed_ids_.push_back(id);
-    maybe_observe(id, /*is_local=*/false);
     swarm_->start_peer(id);
   }
   // Initial leechers.
@@ -271,8 +271,7 @@ void ScenarioRunner::spawn_initial_population() {
     pc.upload_capacity = cfg_.local_upload;
     pc.download_capacity = cfg_.local_download;
     pc.free_rider = cfg_.local_free_rider;
-    local_id_ = swarm_->add_peer(pc, local_observer_);
-    maybe_observe(local_id_, /*is_local=*/true);
+    local_id_ = swarm_->add_peer(pc, observer_for(/*is_local=*/true));
     if (cfg_.local_join_time <= 0.0) {
       swarm_->start_peer(local_id_);
     } else {
@@ -283,23 +282,24 @@ void ScenarioRunner::spawn_initial_population() {
   }
 }
 
-void ScenarioRunner::maybe_observe(peer::PeerId id, bool is_local) {
-  if (swarm_observer_ == nullptr) return;
+peer::SwarmObserver* ScenarioRunner::observer_for(bool is_local) {
+  if (is_local) {
+    // Every scope covers the local peer.
+    if (local_fan_ != nullptr) return local_fan_.get();
+    return local_observer_ != nullptr ? local_observer_ : swarm_observer_;
+  }
+  if (swarm_observer_ == nullptr) return nullptr;
   switch (cfg_.observation.scope) {
     case ObservationPlan::Scope::kAll:
-      return;  // attach_all in the constructor already covers this peer
+      return swarm_observer_;
     case ObservationPlan::Scope::kLocal:
-      if (is_local) swarm_->observers().attach(id, swarm_observer_);
-      return;
+      return nullptr;
     case ObservationPlan::Scope::kSampled:
-      if (is_local) {
-        swarm_->observers().attach(id, swarm_observer_);
-      } else if (observed_samples_ < cfg_.observation.sample_k) {
-        ++observed_samples_;
-        swarm_->observers().attach(id, swarm_observer_);
-      }
-      return;
+      if (observed_samples_ >= cfg_.observation.sample_k) return nullptr;
+      ++observed_samples_;
+      return swarm_observer_;
   }
+  return nullptr;
 }
 
 peer::PeerId ScenarioRunner::spawn_leecher(bool warm) {
@@ -332,8 +332,8 @@ peer::PeerId ScenarioRunner::spawn_leecher(bool warm) {
     }
   }
 
-  const peer::PeerId id = swarm_->add_peer(pc);
-  maybe_observe(id, /*is_local=*/false);
+  const peer::PeerId id =
+      swarm_->add_peer(pc, observer_for(/*is_local=*/false));
   swarm_->start_peer(id);
 
   if (cfg_.leecher_abort_rate > 0.0) {

@@ -25,6 +25,7 @@
 #include "wire/geometry.h"
 
 namespace swarmlab::instrument {
+class ObserverList;
 class SwarmProbe;
 }
 
@@ -198,14 +199,16 @@ ScenarioConfig scenario_from_table1(int torrent_id,
 /// scenario's population dynamics.
 class ScenarioRunner {
  public:
-  /// `local_observer` is attached to the instrumented local peer.
-  /// `swarm_observer` (optional) is attached per cfg.observation.scope:
-  /// the local peer (kLocal), the local peer plus the first sample_k
-  /// spawned (kSampled), or every peer incl. future arrivals (kAll).
-  /// Attachment happens before the initial population starts, so
-  /// construction-time callbacks (on_start at t=0) are captured.
+  /// `local_observer` observes the instrumented local peer.
+  /// `swarm_observer` (optional) observes the peers cfg.observation.scope
+  /// names: the local peer (kLocal), the local peer plus the first
+  /// sample_k other peers spawned (kSampled), or every peer including
+  /// later arrivals (kAll). Each peer's observer is chosen when the peer
+  /// is added, so construction-time callbacks (on_start at t=0) are
+  /// captured. With both observers set, the local peer reports to
+  /// `local_observer` first, then to `swarm_observer`.
   ScenarioRunner(ScenarioConfig cfg, std::uint64_t seed,
-                 peer::PeerObserver* local_observer = nullptr,
+                 peer::SwarmObserver* local_observer = nullptr,
                  peer::SwarmObserver* swarm_observer = nullptr);
   ~ScenarioRunner();
 
@@ -247,14 +250,18 @@ class ScenarioRunner {
   peer::PeerId spawn_leecher(bool warm);
   void schedule_arrivals();
   void schedule_churn_tick();
-  /// Applies cfg.observation.scope to a freshly added peer (kAll is
-  /// handled wholesale by ObserverHub::attach_all instead).
-  void maybe_observe(peer::PeerId id, bool is_local);
+  /// The observer for the next peer to be added, per
+  /// cfg.observation.scope (null when nothing observes it). Call once per
+  /// add_peer, in spawn order: kSampled counts the peers it hands out.
+  peer::SwarmObserver* observer_for(bool is_local);
 
   ScenarioConfig cfg_;
+  /// Fan-out for the local peer when both observers are set; declared
+  /// before swarm_ so it outlives the peers that call it.
+  std::unique_ptr<instrument::ObserverList> local_fan_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<Swarm> swarm_;
-  peer::PeerObserver* local_observer_;
+  peer::SwarmObserver* local_observer_;
   peer::SwarmObserver* swarm_observer_ = nullptr;
   std::uint32_t observed_samples_ = 0;
   peer::PeerId local_id_ = peer::kNoPeer;

@@ -109,16 +109,13 @@ bool Swarm::torrent_alive() const {
 }
 
 peer::PeerId Swarm::add_peer(peer::PeerConfig cfg,
-                             peer::PeerObserver* observer) {
+                             peer::SwarmObserver* observer) {
   const peer::PeerId id = next_id_++;
   cfg.id = id;
   Slot slot;
   slot.node = net_->add_node(cfg.upload_capacity, cfg.download_capacity);
-  // The hub owns observer fan-out; with a single observer (or none) the
-  // effective hook is the observer pointer itself, exactly as before.
-  peer::PeerObserver* hook = hub_.on_peer_added(id, observer);
-  slot.peer = std::make_unique<peer::Peer>(*this, geo_, std::move(cfg), hook);
-  hub_.bind_peer(id, slot.peer.get());
+  slot.peer =
+      std::make_unique<peer::Peer>(*this, geo_, std::move(cfg), observer);
   slots_.push_back(std::move(slot));
   return id;
 }

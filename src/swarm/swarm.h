@@ -15,7 +15,6 @@
 #include "peer/observer.h"
 #include "peer/peer.h"
 #include "sim/simulation.h"
-#include "swarm/observer_hub.h"
 #include "swarm/tracker.h"
 #include "wire/geometry.h"
 
@@ -43,16 +42,11 @@ class Swarm final : public peer::Fabric {
 
   /// Creates a peer (and its network node). `cfg.id` is assigned by the
   /// swarm and returned. The peer does not join the torrent until
-  /// start_peer(). `observer` becomes the peer's first hub attachment;
-  /// further subscriptions go through observers().
+  /// start_peer(). `observer` (may be null) receives the peer's callback
+  /// stream for its whole life; it is purely observational and never
+  /// changes a trajectory.
   peer::PeerId add_peer(peer::PeerConfig cfg,
-                        peer::PeerObserver* observer = nullptr);
-
-  /// Observer attachment for any peer (local or remote), per peer or
-  /// swarm-wide. Attachment is purely observational — it never changes
-  /// a trajectory.
-  [[nodiscard]] ObserverHub& observers() { return hub_; }
-  [[nodiscard]] const ObserverHub& observers() const { return hub_; }
+                        peer::SwarmObserver* observer = nullptr);
 
   /// Joins the torrent now.
   void start_peer(peer::PeerId id);
@@ -159,7 +153,6 @@ class Swarm final : public peer::Fabric {
   std::optional<wire::Metainfo> meta_;  // engaged in data-plane mode
   std::unique_ptr<net::Network> net_;
   Tracker tracker_;
-  ObserverHub hub_;
   std::vector<Slot> slots_;  // index = PeerId - 1
   /// Active ids in ascending order plus tombstones (departed ids not
   /// yet compacted away); mutable so const iteration can compact.

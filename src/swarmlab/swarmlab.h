@@ -32,7 +32,6 @@
 #include "runner/batch_runner.h"  // parallel batch scenario runner
 #include "runner/json.h"          // machine-readable report writer
 #include "swarm/entropy.h"        // swarm-wide entropy index
-#include "swarm/observer_hub.h"   // per-peer observer attachment
 #include "swarm/scenario.h"       // Table-I rows & scenario runner
 #include "swarm/scenario_catalog.h" // named scenarios & ScenarioBuilder
 #include "swarm/swarm.h"          // the torrent fabric

@@ -8,6 +8,9 @@
 namespace swarmlab {
 namespace {
 
+/// The observed peer's id; the single-peer instruments ignore it.
+constexpr peer::PeerId kSelf = 99;
+
 TEST(AnalyzersEdge, EmptyLogYieldsEmptyResults) {
   instrument::LocalPeerLog log(8);
   log.finalize(100.0);
@@ -26,9 +29,9 @@ TEST(AnalyzersEdge, EmptyLogYieldsEmptyResults) {
 
 TEST(AnalyzersEdge, InterarrivalWindowLargerThanSamples) {
   instrument::LocalPeerLog log(8);
-  log.on_start(0.0);
-  log.on_piece_complete(5.0, 0);
-  log.on_piece_complete(9.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_piece_complete(kSelf, 5.0, 0);
+  log.on_piece_complete(kSelf, 9.0, 1);
   const auto result = instrument::analyze_piece_interarrival(log, 100);
   EXPECT_EQ(result.all.count(), 2u);
   EXPECT_EQ(result.first_k.count(), 2u);
@@ -39,9 +42,9 @@ TEST(AnalyzersEdge, InterarrivalWindowLargerThanSamples) {
 
 TEST(AnalyzersEdge, ContributionSetsBeyondPeerCount) {
   instrument::LocalPeerLog log(8);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_block_uploaded(1.0, 1, {0, 0}, 1000);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_block_uploaded(kSelf, 1.0, 1, {0, 0}, 1000);
   log.finalize(10.0);
   // 6 sets of 5 requested but only one peer exists.
   const auto sets = instrument::analyze_leecher_fairness(log, 5, 6);
@@ -54,9 +57,9 @@ TEST(AnalyzersEdge, ContributionSetsBeyondPeerCount) {
 
 TEST(AnalyzersEdge, SeedFairnessIgnoresLeecherBytes) {
   instrument::LocalPeerLog log(8);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_block_uploaded(1.0, 1, {0, 0}, 12345);  // local still a leecher
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_block_uploaded(kSelf, 1.0, 1, {0, 0}, 12345);  // local still a leecher
   log.finalize(10.0);
   const auto sets = instrument::analyze_seed_fairness(log);
   EXPECT_EQ(sets.total_uploaded, 0u);

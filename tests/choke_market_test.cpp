@@ -8,16 +8,19 @@
 namespace swarmlab {
 namespace {
 
+/// The observed peer's id; the single-peer instruments ignore it.
+constexpr peer::PeerId kSelf = 99;
+
 TEST(ChokeMarketLog, TenureCountsConsecutiveRounds) {
   instrument::ChokeMarketLog log;
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_peer_joined(0.0, 2);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_peer_joined(kSelf, 0.0, 2);
   // Peer 1 unchoked for 3 rounds, then dropped; peer 2 for 1 round.
-  log.on_choke_round(10.0, false, {1});
-  log.on_choke_round(20.0, false, {1, 2});
-  log.on_choke_round(30.0, false, {1});
-  log.on_choke_round(40.0, false, {});
+  log.on_choke_round(kSelf, 10.0, false, {1});
+  log.on_choke_round(kSelf, 20.0, false, {1, 2});
+  log.on_choke_round(kSelf, 30.0, false, {1});
+  log.on_choke_round(kSelf, 40.0, false, {});
   const auto stats = log.finalize(50.0);
   EXPECT_EQ(stats.rounds, 4u);
   EXPECT_EQ(stats.slot_rounds, 4u);
@@ -28,10 +31,10 @@ TEST(ChokeMarketLog, TenureCountsConsecutiveRounds) {
 
 TEST(ChokeMarketLog, OpenTenureClosedAtFinalize) {
   instrument::ChokeMarketLog log;
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_choke_round(10.0, false, {1});
-  log.on_choke_round(20.0, false, {1});
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_choke_round(kSelf, 10.0, false, {1});
+  log.on_choke_round(kSelf, 20.0, false, {1});
   const auto stats = log.finalize(30.0);
   ASSERT_EQ(stats.tenures.size(), 1u);
   EXPECT_DOUBLE_EQ(stats.tenures[0], 2.0);
@@ -39,11 +42,11 @@ TEST(ChokeMarketLog, OpenTenureClosedAtFinalize) {
 
 TEST(ChokeMarketLog, MutualityTracksRemoteUnchokes) {
   instrument::ChokeMarketLog log;
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_peer_joined(0.0, 2);
-  log.on_remote_choke_change(5.0, 1, true);  // peer 1 unchokes us
-  log.on_choke_round(10.0, false, {1, 2});   // we unchoke both
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_peer_joined(kSelf, 0.0, 2);
+  log.on_remote_choke_change(kSelf, 5.0, 1, true);  // peer 1 unchokes us
+  log.on_choke_round(kSelf, 10.0, false, {1, 2});   // we unchoke both
   const auto stats = log.finalize(20.0);
   EXPECT_EQ(stats.slot_rounds, 2u);
   EXPECT_DOUBLE_EQ(stats.mutuality, 0.5);  // only peer 1 was mutual
@@ -54,11 +57,11 @@ TEST(ChokeMarketLog, MutualityTracksRemoteUnchokes) {
 
 TEST(ChokeMarketLog, SeedStateRoundsExcluded) {
   instrument::ChokeMarketLog log;
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_choke_round(10.0, true, {1});  // seed state: ignored
-  log.on_became_seed(15.0);
-  log.on_choke_round(20.0, true, {1});
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_choke_round(kSelf, 10.0, true, {1});  // seed state: ignored
+  log.on_became_seed(kSelf, 15.0);
+  log.on_choke_round(kSelf, 20.0, true, {1});
   const auto stats = log.finalize(30.0);
   EXPECT_EQ(stats.rounds, 0u);
   EXPECT_EQ(stats.slot_rounds, 0u);
@@ -66,10 +69,10 @@ TEST(ChokeMarketLog, SeedStateRoundsExcluded) {
 
 TEST(ChokeMarketLog, PeerDepartureClosesTenure) {
   instrument::ChokeMarketLog log;
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_choke_round(10.0, false, {1});
-  log.on_peer_left(15.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_choke_round(kSelf, 10.0, false, {1});
+  log.on_peer_left(kSelf, 15.0, 1);
   const auto stats = log.finalize(30.0);
   ASSERT_EQ(stats.tenures.size(), 1u);
   EXPECT_DOUBLE_EQ(stats.tenures[0], 1.0);

@@ -17,7 +17,7 @@ struct Harness {
         geo(std::uint64_t{pieces} * 256 * 1024, 256 * 1024, 16 * 1024),
         swarm(sim, geo) {}
 
-  PeerId add(PeerConfig cfg, peer::PeerObserver* obs = nullptr) {
+  PeerId add(PeerConfig cfg, peer::SwarmObserver* obs = nullptr) {
     cfg.params.fast_extension = true;
     const PeerId id = swarm.add_peer(std::move(cfg), obs);
     swarm.start_peer(id);

@@ -104,7 +104,7 @@ void expect_focus_series_match(const MetricsRegistry& reg,
             static_cast<double>(focus.peer_set_size()));
 }
 
-// The probe attached (via the hub) to every peer of a two-peer swarm:
+// The probe given to every peer of a two-peer swarm:
 // its counters must equal ground truth from the trajectory.
 TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   sim::Simulation sim(1);
@@ -115,7 +115,6 @@ TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   SwarmProbe::Options popts;
   popts.sampling_period = 100.0;
   SwarmProbe probe(reg, 4, popts);
-  sw.observers().attach_all(&probe);
   probe.bind([&sw](peer::PeerId id) -> const peer::Peer* {
     return sw.find_peer(id);
   });
@@ -123,11 +122,11 @@ TEST(SwarmProbe, AggregatesMatchGroundTruth) {
   peer::PeerConfig seed_cfg;
   seed_cfg.start_complete = true;
   seed_cfg.upload_capacity = 50e3;
-  const peer::PeerId s = sw.add_peer(std::move(seed_cfg));
+  const peer::PeerId s = sw.add_peer(std::move(seed_cfg), &probe);
   sw.start_peer(s);
   peer::PeerConfig cfg;
   cfg.upload_capacity = 50e3;
-  const peer::PeerId l = sw.add_peer(std::move(cfg));
+  const peer::PeerId l = sw.add_peer(std::move(cfg), &probe);
   sw.start_peer(l);
   probe.set_focus(l);
   sim.run_until(2000.0);
@@ -175,7 +174,6 @@ TEST(SwarmProbe, FocusSeriesMatchTheFocusPeerMidRun) {
 
   MetricsRegistry reg;
   SwarmProbe probe(reg, 8);
-  sw.observers().attach_all(&probe);
   probe.bind([&sw](peer::PeerId id) -> const peer::Peer* {
     return sw.find_peer(id);
   });
@@ -183,12 +181,12 @@ TEST(SwarmProbe, FocusSeriesMatchTheFocusPeerMidRun) {
   peer::PeerConfig seed_cfg;
   seed_cfg.start_complete = true;
   seed_cfg.upload_capacity = 20e3;
-  sw.start_peer(sw.add_peer(std::move(seed_cfg)));
+  sw.start_peer(sw.add_peer(std::move(seed_cfg), &probe));
   peer::PeerId focus = peer::kNoPeer;
   for (int i = 0; i < 2; ++i) {
     peer::PeerConfig cfg;
     cfg.upload_capacity = 20e3;
-    focus = sw.add_peer(std::move(cfg));
+    focus = sw.add_peer(std::move(cfg), &probe);
     sw.start_peer(focus);
   }
   probe.set_focus(focus);

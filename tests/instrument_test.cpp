@@ -8,6 +8,9 @@
 namespace swarmlab::instrument {
 namespace {
 
+/// The observed peer's id; the single-peer instruments ignore it.
+constexpr peer::PeerId kSelf = 99;
+
 constexpr std::uint32_t kPieces = 10;
 
 wire::Message bitfield_with(std::uint32_t count) {
@@ -19,9 +22,9 @@ wire::Message bitfield_with(std::uint32_t count) {
 
 TEST(LocalPeerLog, AccruesPeerSetTime) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(10.0, 1);
-  log.on_peer_left(25.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 10.0, 1);
+  log.on_peer_left(kSelf, 25.0, 1);
   log.finalize(100.0);
   const auto& r = log.records().at(1);
   EXPECT_DOUBLE_EQ(r.time_in_set, 15.0);
@@ -30,24 +33,24 @@ TEST(LocalPeerLog, AccruesPeerSetTime) {
 
 TEST(LocalPeerLog, RejoinAccumulates) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_peer_left(10.0, 1);
-  log.on_peer_joined(50.0, 1);
-  log.on_peer_left(70.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_peer_left(kSelf, 10.0, 1);
+  log.on_peer_joined(kSelf, 50.0, 1);
+  log.on_peer_left(kSelf, 70.0, 1);
   log.finalize(100.0);
   EXPECT_DOUBLE_EQ(log.records().at(1).time_in_set, 30.0);
 }
 
 TEST(LocalPeerLog, InterestIntervalsGated) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(3));  // a leecher
-  log.on_interest_change(10.0, 1, true);
-  log.on_remote_interest_change(20.0, 1, true);
-  log.on_interest_change(30.0, 1, false);
-  log.on_peer_left(50.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(3));  // a leecher
+  log.on_interest_change(kSelf, 10.0, 1, true);
+  log.on_remote_interest_change(kSelf, 20.0, 1, true);
+  log.on_interest_change(kSelf, 30.0, 1, false);
+  log.on_peer_left(kSelf, 50.0, 1);
   log.finalize(100.0);
   const auto& r = log.records().at(1);
   EXPECT_DOUBLE_EQ(r.local_interested_leecher, 20.0);   // a: 10..30
@@ -57,11 +60,11 @@ TEST(LocalPeerLog, InterestIntervalsGated) {
 
 TEST(LocalPeerLog, SeedTransitionSplitsBuckets) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(2));
-  log.on_remote_interest_change(0.0, 1, true);
-  log.on_became_seed(40.0);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(2));
+  log.on_remote_interest_change(kSelf, 0.0, 1, true);
+  log.on_became_seed(kSelf, 40.0);
   log.finalize(100.0);
   const auto& r = log.records().at(1);
   EXPECT_DOUBLE_EQ(r.time_in_set_leecher, 40.0);
@@ -72,11 +75,11 @@ TEST(LocalPeerLog, SeedTransitionSplitsBuckets) {
 
 TEST(LocalPeerLog, RemoteSeedExcludedFromLeecherBuckets) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(5.0, 1, bitfield_with(kPieces));  // a seed
-  log.on_interest_change(5.0, 1, true);
-  log.on_peer_left(50.0, 1);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 5.0, 1, bitfield_with(kPieces));  // a seed
+  log.on_interest_change(kSelf, 5.0, 1, true);
+  log.on_peer_left(kSelf, 50.0, 1);
   log.finalize(100.0);
   const auto& r = log.records().at(1);
   // Only the 5 s before the bitfield counts as leecher-leecher time.
@@ -88,26 +91,26 @@ TEST(LocalPeerLog, RemoteSeedExcludedFromLeecherBuckets) {
 
 TEST(LocalPeerLog, RemoteBecomesSeedViaHaves) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(kPieces - 1));
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(kPieces - 1));
   EXPECT_FALSE(log.records().at(1).remote_is_seed);
-  log.on_message_received(20.0, 1, wire::Message{wire::HaveMsg{9}});
+  log.on_message_received(kSelf, 20.0, 1, wire::Message{wire::HaveMsg{9}});
   EXPECT_TRUE(log.records().at(1).remote_is_seed);
-  log.on_peer_left(50.0, 1);
+  log.on_peer_left(kSelf, 50.0, 1);
   log.finalize(100.0);
   EXPECT_DOUBLE_EQ(log.records().at(1).time_in_set_leecher, 20.0);
 }
 
 TEST(LocalPeerLog, UnchokeCountsSplitByState) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_local_choke_change(1.0, 1, true);
-  log.on_local_choke_change(2.0, 1, false);
-  log.on_local_choke_change(3.0, 1, true);
-  log.on_became_seed(10.0);
-  log.on_local_choke_change(11.0, 1, true);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_local_choke_change(kSelf, 1.0, 1, true);
+  log.on_local_choke_change(kSelf, 2.0, 1, false);
+  log.on_local_choke_change(kSelf, 3.0, 1, true);
+  log.on_became_seed(kSelf, 10.0);
+  log.on_local_choke_change(kSelf, 11.0, 1, true);
   log.finalize(20.0);
   EXPECT_EQ(log.records().at(1).unchokes_leecher, 2u);
   EXPECT_EQ(log.records().at(1).unchokes_seed, 1u);
@@ -115,15 +118,15 @@ TEST(LocalPeerLog, UnchokeCountsSplitByState) {
 
 TEST(LocalPeerLog, BytesSplitByStateAndRemoteRole) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(2));
-  log.on_block_received(1.0, 1, {0, 0}, 100);  // from a leecher
-  log.on_message_received(2.0, 1, bitfield_with(kPieces));
-  log.on_block_received(3.0, 1, {1, 0}, 200);  // now a seed
-  log.on_block_uploaded(4.0, 1, {0, 0}, 300);  // we are a leecher
-  log.on_became_seed(5.0);
-  log.on_block_uploaded(6.0, 1, {0, 1}, 400);  // we are a seed
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(2));
+  log.on_block_received(kSelf, 1.0, 1, {0, 0}, 100);  // from a leecher
+  log.on_message_received(kSelf, 2.0, 1, bitfield_with(kPieces));
+  log.on_block_received(kSelf, 3.0, 1, {1, 0}, 200);  // now a seed
+  log.on_block_uploaded(kSelf, 4.0, 1, {0, 0}, 300);  // we are a leecher
+  log.on_became_seed(kSelf, 5.0);
+  log.on_block_uploaded(kSelf, 6.0, 1, {0, 1}, 400);  // we are a seed
   log.finalize(10.0);
   const auto& r = log.records().at(1);
   EXPECT_EQ(r.down_bytes_from_leecher, 100u);
@@ -134,10 +137,10 @@ TEST(LocalPeerLog, BytesSplitByStateAndRemoteRole) {
 
 TEST(LocalPeerLog, EventLogsOrdered) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_piece_complete(5.0, 3);
-  log.on_piece_complete(9.0, 1);
-  log.on_end_game(12.0);
+  log.on_start(kSelf, 0.0);
+  log.on_piece_complete(kSelf, 5.0, 3);
+  log.on_piece_complete(kSelf, 9.0, 1);
+  log.on_end_game(kSelf, 12.0);
   EXPECT_EQ(log.piece_events().size(), 2u);
   EXPECT_EQ(log.piece_events()[0].piece, 3u);
   EXPECT_DOUBLE_EQ(log.end_game_time(), 12.0);
@@ -147,19 +150,19 @@ TEST(LocalPeerLog, EventLogsOrdered) {
 
 LocalPeerLog make_log_with_two_leechers() {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
+  log.on_start(kSelf, 0.0);
   // Peer 1: interested 80 of 100 s.
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(2));
-  log.on_interest_change(0.0, 1, true);
-  log.on_interest_change(80.0, 1, false);
-  log.on_remote_interest_change(0.0, 1, true);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(2));
+  log.on_interest_change(kSelf, 0.0, 1, true);
+  log.on_interest_change(kSelf, 80.0, 1, false);
+  log.on_remote_interest_change(kSelf, 0.0, 1, true);
   // Peer 2: never interesting.
-  log.on_peer_joined(0.0, 2);
-  log.on_message_received(0.0, 2, bitfield_with(1));
+  log.on_peer_joined(kSelf, 0.0, 2);
+  log.on_message_received(kSelf, 0.0, 2, bitfield_with(1));
   // Peer 3: too brief (under the 10 s filter).
-  log.on_peer_joined(0.0, 3);
-  log.on_peer_left(4.0, 3);
+  log.on_peer_joined(kSelf, 0.0, 3);
+  log.on_peer_left(kSelf, 4.0, 3);
   log.finalize(100.0);
   return log;
 }
@@ -175,9 +178,10 @@ TEST(Analyzers, EntropyRatiosAndFilter) {
 
 TEST(Analyzers, PieceInterarrivalSplitsFirstAndLast) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
+  log.on_start(kSelf, 0.0);
   for (int i = 1; i <= 10; ++i) {
-    log.on_piece_complete(i * 10.0, static_cast<wire::PieceIndex>(i - 1));
+    log.on_piece_complete(kSelf, i * 10.0,
+                          static_cast<wire::PieceIndex>(i - 1));
   }
   const auto result = analyze_piece_interarrival(log, /*k=*/3);
   EXPECT_EQ(result.all.count(), 10u);
@@ -188,12 +192,12 @@ TEST(Analyzers, PieceInterarrivalSplitsFirstAndLast) {
 
 TEST(Analyzers, InterarrivalDetectsSlowStart) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
+  log.on_start(kSelf, 0.0);
   // First three pieces slow (gap 50), the rest fast (gap 5).
   double t = 0.0;
   for (int i = 0; i < 10; ++i) {
     t += (i < 3) ? 50.0 : 5.0;
-    log.on_piece_complete(t, static_cast<wire::PieceIndex>(i));
+    log.on_piece_complete(kSelf, t, static_cast<wire::PieceIndex>(i));
   }
   const auto result = analyze_piece_interarrival(log, /*k=*/3);
   EXPECT_GT(result.first_k.quantile(0.5), result.last_k.quantile(0.5));
@@ -201,13 +205,13 @@ TEST(Analyzers, InterarrivalDetectsSlowStart) {
 
 TEST(Analyzers, LeecherFairnessFractions) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
+  log.on_start(kSelf, 0.0);
   // 12 peers: peer i uploads i kB to us and receives i kB (leecher state).
   for (peer::PeerId id = 1; id <= 12; ++id) {
-    log.on_peer_joined(0.0, id);
-    log.on_message_received(0.0, id, bitfield_with(2));
-    log.on_block_uploaded(1.0, id, {0, 0}, id * 1000);
-    log.on_block_received(1.0, id, {1, 0}, id * 1000);
+    log.on_peer_joined(kSelf, 0.0, id);
+    log.on_message_received(kSelf, 0.0, id, bitfield_with(2));
+    log.on_block_uploaded(kSelf, 1.0, id, {0, 0}, id * 1000);
+    log.on_block_received(kSelf, 1.0, id, {1, 0}, id * 1000);
   }
   log.finalize(10.0);
   const auto sets = analyze_leecher_fairness(log, 5, 6);
@@ -223,13 +227,13 @@ TEST(Analyzers, LeecherFairnessFractions) {
 
 TEST(Analyzers, LeecherFairnessExcludesSeedDownloads) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_peer_joined(0.0, 1);
-  log.on_message_received(0.0, 1, bitfield_with(kPieces));  // a seed
-  log.on_block_received(1.0, 1, {0, 0}, 5000);
-  log.on_peer_joined(0.0, 2);
-  log.on_message_received(0.0, 2, bitfield_with(2));
-  log.on_block_received(1.0, 2, {1, 0}, 1000);
+  log.on_start(kSelf, 0.0);
+  log.on_peer_joined(kSelf, 0.0, 1);
+  log.on_message_received(kSelf, 0.0, 1, bitfield_with(kPieces));  // a seed
+  log.on_block_received(kSelf, 1.0, 1, {0, 0}, 5000);
+  log.on_peer_joined(kSelf, 0.0, 2);
+  log.on_message_received(kSelf, 0.0, 2, bitfield_with(2));
+  log.on_block_received(kSelf, 1.0, 2, {1, 0}, 1000);
   log.finalize(10.0);
   const auto sets = analyze_leecher_fairness(log);
   EXPECT_EQ(sets.total_downloaded_from_leechers, 1000u);
@@ -237,12 +241,12 @@ TEST(Analyzers, LeecherFairnessExcludesSeedDownloads) {
 
 TEST(Analyzers, SeedFairnessUsesSeedStateBytes) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  for (peer::PeerId id = 1; id <= 6; ++id) log.on_peer_joined(0.0, id);
-  log.on_block_uploaded(1.0, 1, {0, 0}, 999);  // leecher state: ignored
-  log.on_became_seed(2.0);
+  log.on_start(kSelf, 0.0);
+  for (peer::PeerId id = 1; id <= 6; ++id) log.on_peer_joined(kSelf, 0.0, id);
+  log.on_block_uploaded(kSelf, 1.0, 1, {0, 0}, 999);  // leecher state: ignored
+  log.on_became_seed(kSelf, 2.0);
   for (peer::PeerId id = 1; id <= 6; ++id) {
-    log.on_block_uploaded(3.0, id, {0, 0}, 1000);  // equal seed service
+    log.on_block_uploaded(kSelf, 3.0, id, {0, 0}, 1000);  // equal seed service
   }
   log.finalize(10.0);
   const auto sets = analyze_seed_fairness(log, 5, 6);
@@ -253,17 +257,17 @@ TEST(Analyzers, SeedFairnessUsesSeedStateBytes) {
 
 TEST(Analyzers, UnchokeCorrelationSeparatesStates) {
   LocalPeerLog log(kPieces);
-  log.on_start(0.0);
-  log.on_became_seed(100.0);
+  log.on_start(kSelf, 0.0);
+  log.on_became_seed(kSelf, 100.0);
   // In seed state: unchokes proportional to interested time.
   for (peer::PeerId id = 1; id <= 8; ++id) {
-    log.on_peer_joined(100.0, id);
-    log.on_remote_interest_change(100.0, id, true);
+    log.on_peer_joined(kSelf, 100.0, id);
+    log.on_remote_interest_change(kSelf, 100.0, id, true);
     for (peer::PeerId k = 0; k < id; ++k) {
-      log.on_local_choke_change(101.0, id, true);
-      log.on_local_choke_change(101.5, id, false);
+      log.on_local_choke_change(kSelf, 101.0, id, true);
+      log.on_local_choke_change(kSelf, 101.5, id, false);
     }
-    log.on_peer_left(100.0 + id * 10.0, id);
+    log.on_peer_left(kSelf, 100.0 + id * 10.0, id);
   }
   log.finalize(300.0);
   const auto ss = analyze_unchoke_correlation_seed(log);

@@ -12,14 +12,17 @@
 namespace swarmlab::instrument {
 namespace {
 
+/// The observed peer's id; the single-peer instruments ignore it.
+constexpr peer::PeerId kSelf = 99;
+
 TEST(TraceWriter, RecordsEventsInOrder) {
   TraceWriter trace;
-  trace.on_start(0.0);
-  trace.on_peer_joined(1.0, 7);
-  trace.on_message_sent(2.0, 7, wire::Message{wire::InterestedMsg{}});
-  trace.on_block_received(3.0, 7, {4, 2}, 16384);
-  trace.on_piece_complete(4.0, 4);
-  trace.on_became_seed(5.0);
+  trace.on_start(kSelf, 0.0);
+  trace.on_peer_joined(kSelf, 1.0, 7);
+  trace.on_message_sent(kSelf, 2.0, 7, wire::Message{wire::InterestedMsg{}});
+  trace.on_block_received(kSelf, 3.0, 7, {4, 2}, 16384);
+  trace.on_piece_complete(kSelf, 4.0, 4);
+  trace.on_became_seed(kSelf, 5.0);
   const auto& ev = trace.events();
   ASSERT_EQ(ev.size(), 6u);
   EXPECT_EQ(ev[0].kind, "start");
@@ -33,24 +36,24 @@ TEST(TraceWriter, RecordsEventsInOrder) {
 
 TEST(TraceWriter, ChokeRoundDetail) {
   TraceWriter trace;
-  trace.on_choke_round(10.0, true, {3, 1, 4});
+  trace.on_choke_round(kSelf, 10.0, true, {3, 1, 4});
   EXPECT_EQ(trace.events()[0].detail, "seed:3 1 4");
-  trace.on_choke_round(20.0, false, {});
+  trace.on_choke_round(kSelf, 20.0, false, {});
   EXPECT_EQ(trace.events()[1].detail, "leecher:");
 }
 
 TEST(TraceWriter, CapDropsExcess) {
   TraceWriter trace(/*max_events=*/2);
-  trace.on_start(0.0);
-  trace.on_end_game(1.0);
-  trace.on_became_seed(2.0);
+  trace.on_start(kSelf, 0.0);
+  trace.on_end_game(kSelf, 1.0);
+  trace.on_became_seed(kSelf, 2.0);
   EXPECT_EQ(trace.events().size(), 2u);
   EXPECT_EQ(trace.dropped(), 1u);
 }
 
 TEST(TraceWriter, CsvOutput) {
   TraceWriter trace;
-  trace.on_piece_complete(1.5, 9);
+  trace.on_piece_complete(kSelf, 1.5, 9);
   std::ostringstream out;
   trace.write_csv(out);
   EXPECT_EQ(out.str(), "time,kind,remote,detail\n1.5,piece_done,0,9\n");
@@ -121,8 +124,8 @@ TEST(TraceWriter, PlainFieldsStayUnquoted) {
   // The historical format: no quoting unless a field needs it, so
   // existing downstream parsers keep working on clean traces.
   TraceWriter trace;
-  trace.on_piece_complete(1.5, 9);
-  trace.on_choke_round(2.0, true, {3, 1});
+  trace.on_piece_complete(kSelf, 1.5, 9);
+  trace.on_choke_round(kSelf, 2.0, true, {3, 1});
   std::ostringstream out;
   trace.write_csv(out);
   EXPECT_EQ(out.str(),
@@ -133,9 +136,9 @@ TEST(TraceWriter, PlainFieldsStayUnquoted) {
 
 TEST(TraceWriter, TruncationEmitsSentinelRow) {
   TraceWriter trace(/*max_events=*/1);
-  trace.on_start(0.0);
-  trace.on_end_game(10.0);
-  trace.on_became_seed(20.0);
+  trace.on_start(kSelf, 0.0);
+  trace.on_end_game(kSelf, 10.0);
+  trace.on_became_seed(kSelf, 20.0);
   std::ostringstream out;
   trace.write_csv(out);
   // The sentinel carries the newest (dropped) event time and the count.
@@ -147,9 +150,9 @@ TEST(TraceWriter, TruncationEmitsSentinelRow) {
 
 TEST(TraceWriter, JsonlExportCarriesSchemaAndTrailer) {
   TraceWriter trace(/*max_events=*/2);
-  trace.on_peer_joined(1.5, 7);
+  trace.on_peer_joined(kSelf, 1.5, 7);
   trace.annotate(2.0, "weird\"kind", 8, "tab\there \"quoted\"");
-  trace.on_became_seed(3.0);  // dropped by the cap
+  trace.on_became_seed(kSelf, 3.0);  // dropped by the cap
   std::ostringstream out;
   trace.write_jsonl(out);
   EXPECT_EQ(out.str(),
@@ -167,16 +170,16 @@ TEST(ObserverList, FansOutToAll) {
   ObserverList list;
   list.add(&log);
   list.add(&trace);
-  list.on_start(0.0);
-  list.on_peer_joined(1.0, 3);
-  list.on_piece_complete(2.0, 5);
-  list.on_became_seed(3.0);
+  list.on_start(kSelf, 0.0);
+  list.on_peer_joined(kSelf, 1.0, 3);
+  list.on_piece_complete(kSelf, 2.0, 5);
+  list.on_became_seed(kSelf, 3.0);
   EXPECT_EQ(log.piece_events().size(), 1u);
   EXPECT_TRUE(log.local_is_seed());
   EXPECT_EQ(trace.events().size(), 4u);
 }
 
-TEST(ObserverList, WorksAsPeerObserverInASwarm) {
+TEST(ObserverList, CarriesOnePeersStreamInASwarm) {
   sim::Simulation sim(1);
   const wire::ContentGeometry geo(4 * 256 * 1024);
   swarm::Swarm sw(sim, geo);

@@ -1,8 +1,8 @@
 // Mega-swarm scale tier: the correctness side of the O(active) hot
 // paths.
 //
-//  * swarm_entropy_sampled — exact when the sample covers every
-//    leecher, deterministic for a given private stream.
+//  * pairwise_interest_entropy_sampled — exact when the sample covers
+//    every leecher, deterministic for a given private stream.
 //  * Rng::sample_indices — the sparse (hash-map) partial Fisher-Yates
 //    used for large n must emit the same indices AND consume the same
 //    engine draws as the dense strategy (replay identity).
@@ -77,10 +77,12 @@ TEST(SwarmEntropySampled, FullSampleIsExact) {
   sim::Rng rng(99);
   // sample_k >= active leechers (and the k = 0 "unlimited" spelling)
   // degenerate to the exact value.
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy_sampled(runner.swarm(), 10000, rng),
-                   brute_force_entropy(runner.swarm()));
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy_sampled(runner.swarm(), 0, rng),
-                   brute_force_entropy(runner.swarm()));
+  EXPECT_DOUBLE_EQ(
+      swarm::pairwise_interest_entropy_sampled(runner.swarm(), 10000, rng),
+      brute_force_entropy(runner.swarm()));
+  EXPECT_DOUBLE_EQ(
+      swarm::pairwise_interest_entropy_sampled(runner.swarm(), 0, rng),
+      brute_force_entropy(runner.swarm()));
 }
 
 TEST(SwarmEntropySampled, DeterministicAndBounded) {
@@ -88,8 +90,10 @@ TEST(SwarmEntropySampled, DeterministicAndBounded) {
   runner.simulation().run_until(1200.0);
   sim::Rng a(123);
   sim::Rng b(123);
-  const double ea = swarm::swarm_entropy_sampled(runner.swarm(), 5, a);
-  const double eb = swarm::swarm_entropy_sampled(runner.swarm(), 5, b);
+  const double ea =
+      swarm::pairwise_interest_entropy_sampled(runner.swarm(), 5, a);
+  const double eb =
+      swarm::pairwise_interest_entropy_sampled(runner.swarm(), 5, b);
   EXPECT_DOUBLE_EQ(ea, eb);  // same private stream, same estimate
   EXPECT_GE(ea, 0.0);
   EXPECT_LE(ea, 1.0);

@@ -31,7 +31,7 @@ struct Harness {
     return id;
   }
 
-  PeerId add_leecher(double up = 50e3, peer::PeerObserver* obs = nullptr,
+  PeerId add_leecher(double up = 50e3, peer::SwarmObserver* obs = nullptr,
                      bool free_rider = false) {
     PeerConfig cfg;
     cfg.upload_capacity = up;
@@ -296,8 +296,8 @@ TEST(PeerProtocol, GlobalAvailabilityTracksCompletions) {
 // --- the net::Network seam -------------------------------------------------
 
 /// Records every message the observed peer receives, in arrival order.
-struct MessageOrderLog : peer::PeerObserver {
-  void on_message_received(sim::SimTime, PeerId,
+struct MessageOrderLog : peer::SwarmObserver {
+  void on_message_received(PeerId, sim::SimTime, PeerId,
                            const wire::Message& msg) override {
     names.push_back(wire::message_name(msg));
   }

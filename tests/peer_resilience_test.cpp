@@ -18,7 +18,7 @@ struct Harness {
         geo(std::uint64_t{pieces} * 256 * 1024, 256 * 1024, 16 * 1024),
         swarm(sim, geo) {}
 
-  PeerId add(PeerConfig cfg, peer::PeerObserver* obs = nullptr) {
+  PeerId add(PeerConfig cfg, peer::SwarmObserver* obs = nullptr) {
     const PeerId id = swarm.add_peer(std::move(cfg), obs);
     swarm.start_peer(id);
     return id;
@@ -32,7 +32,7 @@ struct Harness {
     return add(std::move(cfg));
   }
 
-  PeerId add_leecher(double up = 50e3, peer::PeerObserver* obs = nullptr) {
+  PeerId add_leecher(double up = 50e3, peer::SwarmObserver* obs = nullptr) {
     PeerConfig cfg;
     cfg.upload_capacity = up;
     return add(std::move(cfg), obs);
@@ -44,9 +44,9 @@ struct Harness {
 };
 
 /// Observer that counts verification failures.
-struct FailureCounter : peer::PeerObserver {
+struct FailureCounter : peer::SwarmObserver {
   int failures = 0;
-  void on_piece_failed(sim::SimTime, wire::PieceIndex) override {
+  void on_piece_failed(PeerId, sim::SimTime, wire::PieceIndex) override {
     ++failures;
   }
 };

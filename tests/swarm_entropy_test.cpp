@@ -33,9 +33,9 @@ struct Harness {
 
 TEST(SwarmEntropy, VacuouslyIdealWithFewLeechers) {
   Harness h;
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 1.0);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 1.0);
   h.add_with({true, false, false, false, false, false, false, false});
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 1.0);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 1.0);
 }
 
 TEST(SwarmEntropy, DisjointHoldingsAreIdeal) {
@@ -43,7 +43,7 @@ TEST(SwarmEntropy, DisjointHoldingsAreIdeal) {
   h.add_with({true, false, false, false, false, false, false, false});
   h.add_with({false, true, false, false, false, false, false, false});
   // Each has a piece the other lacks: both directions interested.
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 1.0);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 1.0);
 }
 
 TEST(SwarmEntropy, SubsetBreaksOneDirection) {
@@ -52,7 +52,7 @@ TEST(SwarmEntropy, SubsetBreaksOneDirection) {
   h.add_with({true, false, false, false, false, false, false, false});
   // The superset peer is not interested in the subset peer: 1 of 2
   // ordered pairs.
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 0.5);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 0.5);
 }
 
 TEST(SwarmEntropy, IdenticalHoldingsAreZero) {
@@ -62,7 +62,7 @@ TEST(SwarmEntropy, IdenticalHoldingsAreZero) {
   h.add_with(held);
   h.add_with(held);
   h.add_with(held);
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 0.0);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 0.0);
 }
 
 TEST(SwarmEntropy, SeedsAreExcluded) {
@@ -76,7 +76,7 @@ TEST(SwarmEntropy, SeedsAreExcluded) {
   h.add_with(held);
   h.add_with(held);
   // Two identical leechers: entropy 0 regardless of the seed.
-  EXPECT_DOUBLE_EQ(swarm::swarm_entropy(h.swarm), 0.0);
+  EXPECT_DOUBLE_EQ(swarm::pairwise_interest_entropy(h.swarm), 0.0);
 }
 
 // --- multi-file metainfo -----------------------------------------------------
