@@ -5,13 +5,38 @@
 // Usage: quickstart [torrent_id=7] [seed=1]
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "swarmlab/swarmlab.h"
+
+namespace {
+
+void usage(std::FILE* out, const char* argv0, int torrents) {
+  std::fprintf(out, "usage: %s [torrent_id=7 (1-%d, Table I)] [seed=1]\n",
+               argv0, torrents);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace swarmlab;
 
-  const int torrent_id = argc > 1 ? std::atoi(argv[1]) : 7;
+  const int torrents = static_cast<int>(swarm::table1_torrents().size());
+  int torrent_id = 7;
+  if (argc > 1) {
+    const std::string arg = argv[1];
+    if (arg == "-h" || arg == "--help") {
+      usage(stdout, argv[0], torrents);
+      return 0;
+    }
+    char* end = nullptr;
+    const long id = std::strtol(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || id < 1 || id > torrents) {
+      usage(stderr, argv[0], torrents);
+      return 2;
+    }
+    torrent_id = static_cast<int>(id);
+  }
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
                                       : 1;
 

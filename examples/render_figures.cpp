@@ -46,6 +46,15 @@ void write_svg(const std::filesystem::path& dir, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The first argument is a directory, never a flag: refuse to create a
+  // directory named after a mistyped option.
+  if (argc > 1 && argv[1][0] == '-') {
+    const std::string arg = argv[1];
+    const bool help = arg == "-h" || arg == "--help";
+    std::fprintf(help ? stdout : stderr,
+                 "usage: %s [output_dir=figures] [rng=20061025]\n", argv[0]);
+    return help ? 0 : 2;
+  }
   const std::filesystem::path dir = argc > 1 ? argv[1] : "figures";
   const std::uint64_t seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20061025;

@@ -165,8 +165,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--torrent") torrent = std::atoi(next());
-    else if (arg == "--sweep") sweep = true;
+    if (arg == "--torrent") {
+      torrent = std::atoi(next());
+      if (torrent < 1 || torrent > 26) usage(argv[0]);
+    } else if (arg == "--sweep") sweep = true;
     else if (arg == "--jobs") {
       jobs = std::atoi(next());
       if (jobs < 1 || jobs > 512) usage(argv[0]);
@@ -197,7 +199,7 @@ int main(int argc, char** argv) {
   }
 
   swarm::ScenarioConfig cfg;
-  if (torrent >= 1 && torrent <= 26) {
+  if (torrent != 0) {
     cfg = swarm::scenario_from_table1(torrent);
   } else {
     cfg.name = "custom";

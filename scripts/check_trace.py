@@ -8,7 +8,7 @@ Two kinds of artifact, checkable together in one invocation:
   every event line carries ``t``/``kind``/``remote``/``detail`` with
   non-decreasing ``t``, and the trailer's ``events``/``dropped``
   counts must agree with the lines actually present.
-* Batch reports (``--report REPORT.json``, schema ``swarmlab.batch/7``):
+* Batch reports (``--report REPORT.json``, schema ``swarmlab.batch/8``):
   every result must carry a ``telemetry`` object with a valid
   ``scope``; swarm scopes must include the SwarmProbe ``metrics``
   snapshot (counters/gauges/histograms/series with well-formed
@@ -26,7 +26,7 @@ import json
 import sys
 
 TRACE_SCHEMA = "swarmlab.trace/1"
-REPORT_SCHEMA = "swarmlab.batch/7"
+REPORT_SCHEMA = "swarmlab.batch/8"
 SCOPES = ("local", "sampled", "all")
 
 
@@ -140,7 +140,7 @@ def check_metrics(where, metrics, errors, path):
 
 
 def check_report(path, errors):
-    """Validates the telemetry blocks of one swarmlab.batch/7 report."""
+    """Validates the telemetry blocks of one swarmlab.batch/8 report."""
     try:
         with open(path) as f:
             report = json.load(f)
@@ -163,7 +163,7 @@ def check_report(path, errors):
         telemetry = entry.get("telemetry")
         if not isinstance(telemetry, dict):
             fail(errors, path, f"{where}: missing telemetry object "
-                 f"(schema v7 requires one per result)")
+                 f"(schema v7 and later require one per result)")
             continue
         scope = telemetry.get("scope")
         if scope not in SCOPES:

@@ -7,10 +7,10 @@ object — and prints the rest as stable, sorted-key JSON. Two runs of the
 same (jobs, master seed) sweep must produce byte-identical output here
 for any worker count, and an interrupted-then-resumed sweep must match
 its uninterrupted twin; CI's resilience job diffs exactly this view.
-The schema-v6 perf counters (``fastpath``, ``compactions``,
-``train_segments``) are deterministic and therefore part of the core —
-a coalescing or event-dispatch behaviour change shows up as a diff
-here, not just as a throughput delta. The schema-v7 per-result
+The perf counters (``scheduled``, ``cancelled``, ``peak_pending``,
+``fastpath``, ``train_segments``) are deterministic and therefore part
+of the core — a coalescing or event-dispatch behaviour change shows up
+as a diff here, not just as a throughput delta. The schema-v7 per-result
 ``telemetry`` object (observation scope, SwarmProbe metrics snapshot,
 trace accounting) is likewise deterministic — every value is derived
 from observer callbacks on the simulated trajectory, never from wall

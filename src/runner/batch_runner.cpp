@@ -404,7 +404,6 @@ RunResult run_scenario_job(const BatchJob& job, const JobContext& ctx,
   res.events_cancelled = runner.simulation().events_cancelled();
   res.peak_pending = runner.simulation().peak_pending_events();
   res.events_fastpath = runner.simulation().events_fastpath();
-  res.queue_compactions = runner.simulation().queue_compactions();
   res.train_segments = runner.swarm().network().train_segments();
   if (res.metrics.is_null()) res.metrics = json::Value::object();
   if (injector != nullptr) {
@@ -568,7 +567,6 @@ json::Value result_entry(const RunResult& r, bool include_text) {
   perf["cancelled"] = r.events_cancelled;
   perf["peak_pending"] = r.peak_pending;
   perf["fastpath"] = r.events_fastpath;
-  perf["compactions"] = r.queue_compactions;
   perf["train_segments"] = r.train_segments;
   entry["perf"] = std::move(perf);
   entry["metrics"] = r.metrics;
@@ -654,17 +652,15 @@ bool result_from_entry(const json::Value& entry, RunResult* out) {
   const json::Value* cancelled = perf->find("cancelled");
   const json::Value* peak = perf->find("peak_pending");
   const json::Value* fastpath = perf->find("fastpath");
-  const json::Value* compactions = perf->find("compactions");
   const json::Value* trains = perf->find("train_segments");
   if (scheduled == nullptr || cancelled == nullptr || peak == nullptr ||
-      fastpath == nullptr || compactions == nullptr || trains == nullptr) {
+      fastpath == nullptr || trains == nullptr) {
     return false;
   }
   r.events_scheduled = scheduled->as_uint64();
   r.events_cancelled = cancelled->as_uint64();
   r.peak_pending = peak->as_uint64();
   r.events_fastpath = fastpath->as_uint64();
-  r.queue_compactions = compactions->as_uint64();
   r.train_segments = trains->as_uint64();
   if (const json::Value* metrics = entry.find("metrics")) {
     r.metrics = *metrics;

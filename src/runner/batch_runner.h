@@ -117,7 +117,6 @@ struct RunResult {
   std::uint64_t events_cancelled = 0;  ///< cancelled before firing
   std::uint64_t peak_pending = 0;      ///< high-water mark of live events
   std::uint64_t events_fastpath = 0;   ///< fired via the POD fast channel
-  std::uint64_t queue_compactions = 0; ///< event-queue dead-entry sweeps
   std::uint64_t train_segments = 0;    ///< segments served in coalesced trains
   json::Value metrics;             ///< bench-specific summary (object)
   /// Observability snapshot (object, schema v7): always carries "scope";
@@ -258,12 +257,15 @@ std::vector<BatchJob> table1_jobs(std::uint64_t master,
 /// snapshot (counters/gauges/histograms/series) for swarm-scope plans,
 /// and trace accounting for traced plans (see docs/observability.md).
 /// Deterministic: derived from observer callbacks only.
-inline constexpr const char* kReportSchema = "swarmlab.batch/7";
+/// v8: `perf.compactions` removed — the event queue removes cancelled
+/// events at once and never compacts.
+inline constexpr const char* kReportSchema = "swarmlab.batch/8";
 
 /// Checkpoint header schema (first line of a checkpoint JSONL file).
 /// v2: checkpoint entries carry the v6 perf counters (strict parse).
 /// v3: checkpoint entries carry the v7 `telemetry` object (strict parse).
-inline constexpr const char* kCheckpointSchema = "swarmlab.checkpoint/3";
+/// v4: checkpoint entries carry the v8 perf counters (no `compactions`).
+inline constexpr const char* kCheckpointSchema = "swarmlab.checkpoint/4";
 
 /// Serializes a MetricsRegistry snapshot as the v7 `telemetry.metrics`
 /// object: `counters`/`gauges` (name -> value), `histograms` (name ->

@@ -1,18 +1,20 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace swarmlab::sim {
 
 namespace {
-// Orders both tiers: the heap as a min-heap, wheel buckets descending so
-// the bucket minimum pops off the back.
-constexpr auto kMinHeap = std::greater<>{};
+
+constexpr EventId pack(std::uint32_t gen, std::uint32_t slot) {
+  return (static_cast<EventId>(gen) << 32) | (static_cast<EventId>(slot) + 1);
+}
+
 }  // namespace
 
-EventId EventQueue::place(SimTime at) {
+std::uint32_t EventQueue::place(SimTime at) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -21,168 +23,85 @@ EventId EventQueue::place(SimTime at) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  const EventId id = pack(slots_[slot].gen, slot);
-  const Entry e{at, next_seq_++, id};
-
-  // Tier routing. A drained wheel re-anchors at the first finite time it
-  // sees; entries before the window, past its horizon, or in a bucket
-  // range the cursor has already drained go to the heap, so the wheel
-  // never has to look behind its cursor.
-  if (wheel_entries_ == 0 && std::isfinite(at)) {
-    wheel_base_ = at;
-    wheel_cursor_ = 0;
-  }
-  const double rel = at - wheel_base_;
-  if (!(rel >= 0.0) || rel >= kWheelSpan) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), kMinHeap);
-  } else {
-    const auto idx = static_cast<std::size_t>(rel * (1.0 / kBucketWidth));
-    if (idx < wheel_cursor_ || idx >= kWheelBuckets) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), kMinHeap);
-    } else {
-      Bucket& b = buckets_[idx];
-      if (b.sorted) {
-        // Keep the cursor bucket's descending (time, seq) order.
-        b.v.insert(std::lower_bound(b.v.begin(), b.v.end(), e, kMinHeap), e);
-      } else {
-        b.v.push_back(e);
-      }
-      ++wheel_entries_;
-    }
-  }
-
-  ++live_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{at, next_seq_++, slot});
   ++scheduled_;
-  peak_ = std::max(peak_, live_);
-  return id;
+  peak_ = std::max(peak_, heap_.size());
+  return slot;
 }
 
 EventId EventQueue::schedule(SimTime at, EventFn fn) {
-  const EventId id = place(at);
-  Slot& s = slots_[static_cast<std::uint32_t>((id & 0xffffffffu) - 1)];
+  const std::uint32_t slot = place(at);
+  Slot& s = slots_[slot];
   s.channel = 0;
   s.fn = std::move(fn);
-  return id;
+  return pack(s.gen, slot);
 }
 
 EventId EventQueue::schedule_fast(SimTime at, std::uint16_t channel,
                                   FastPayload payload) {
   assert(channel != 0);
-  const EventId id = place(at);
-  Slot& s = slots_[static_cast<std::uint32_t>((id & 0xffffffffu) - 1)];
+  const std::uint32_t slot = place(at);
+  Slot& s = slots_[slot];
   s.channel = channel;
   s.payload = payload;
-  return id;
+  return pack(s.gen, slot);
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (!is_pending(id)) return false;
-  // Bumping the generation is the act of cancellation; the tier entry is
-  // discarded lazily (wheel_peek/drop_cancelled) or in bulk (compact).
-  release(static_cast<std::uint32_t>((id & 0xffffffffu) - 1));
+  const std::uint64_t biased = id & 0xffffffffu;
+  if (biased == 0 || biased > slots_.size()) return false;
+  const auto slot = static_cast<std::uint32_t>(biased - 1);
+  if (slots_[slot].gen != static_cast<std::uint32_t>(id >> 32)) return false;
+  remove_at(slots_[slot].pos);
+  release(slot);
   ++cancelled_;
-  if (total_entries() >= 64 && total_entries() > 2 * live_) compact();
   return true;
-}
-
-void EventQueue::compact() {
-  const auto stale = [this](const Entry& e) { return !is_pending(e.id); };
-  std::erase_if(heap_, stale);
-  std::make_heap(heap_.begin(), heap_.end(), kMinHeap);
-  for (std::size_t i = wheel_cursor_; i < kWheelBuckets; ++i) {
-    if (buckets_[i].v.empty()) continue;
-    wheel_entries_ -= std::erase_if(buckets_[i].v, stale);
-  }
-  ++compactions_;
-}
-
-EventQueue::Entry* EventQueue::wheel_peek() {
-  while (wheel_entries_ > 0) {
-    assert(wheel_cursor_ < kWheelBuckets);
-    Bucket& b = buckets_[wheel_cursor_];
-    if (!b.sorted) {
-      std::sort(b.v.begin(), b.v.end(), kMinHeap);
-      b.sorted = true;
-    }
-    while (!b.v.empty() && !is_pending(b.v.back().id)) {
-      b.v.pop_back();
-      --wheel_entries_;
-    }
-    if (!b.v.empty()) return &b.v.back();
-    b.sorted = false;
-    ++wheel_cursor_;
-  }
-  return nullptr;
-}
-
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && !is_pending(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), kMinHeap);
-    heap_.pop_back();
-  }
-}
-
-SimTime EventQueue::next_time() {
-  Entry* w = wheel_peek();
-  drop_cancelled();
-  if (w == nullptr) {
-    assert(!heap_.empty());
-    return heap_.front().time;
-  }
-  if (heap_.empty() || kMinHeap(heap_.front(), *w)) return w->time;
-  return heap_.front().time;
-}
-
-EventQueue::Fired EventQueue::pop() {
-  Entry* w = wheel_peek();
-  drop_cancelled();
-  // (time, seq) is a strict total order, so exactly one tier holds the
-  // global minimum; ids are unique, so equality across tiers is
-  // impossible.
-  Entry top;
-  if (w != nullptr && (heap_.empty() || kMinHeap(heap_.front(), *w))) {
-    top = *w;
-    buckets_[wheel_cursor_].v.pop_back();
-    --wheel_entries_;
-  } else {
-    assert(!heap_.empty());
-    top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), kMinHeap);
-    heap_.pop_back();
-  }
-  return take(top);
 }
 
 bool EventQueue::pop_until(SimTime deadline, Fired* out) {
-  if (live_ == 0) return false;
-  Entry* w = wheel_peek();
-  drop_cancelled();
-  // Same tier choice as pop(); the deadline check happens on the global
-  // minimum before extraction, so a refusal disturbs nothing.
-  const bool from_wheel =
-      w != nullptr && (heap_.empty() || kMinHeap(heap_.front(), *w));
-  const Entry top = from_wheel ? *w : heap_.front();
-  if (top.time > deadline) return false;
-  if (from_wheel) {
-    buckets_[wheel_cursor_].v.pop_back();
-    --wheel_entries_;
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), kMinHeap);
-    heap_.pop_back();
-  }
-  *out = take(top);
+  if (heap_.empty() || heap_.front().time > deadline) return false;
+  const std::uint32_t slot = heap_.front().slot;
+  Slot& s = slots_[slot];
+  *out = Fired{heap_.front().time, s.payload, s.channel,
+               s.channel == 0 ? std::move(s.fn) : EventFn{}};
+  remove_at(0);
+  release(slot);
   return true;
 }
 
-EventQueue::Fired EventQueue::take(const Entry& top) {
-  const auto slot = static_cast<std::uint32_t>((top.id & 0xffffffffu) - 1);
-  Slot& s = slots_[slot];
-  Fired fired{top.time, top.id, s.payload, s.channel,
-              s.channel == 0 ? std::move(s.fn) : EventFn{}};
-  release(slot);
-  return fired;
+void EventQueue::remove_at(std::size_t i) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  if (i > 0 && last < heap_[(i - 1) / 2]) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+void EventQueue::sift_up(std::size_t i, Entry e) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e < heap_[parent])) break;
+    put(i, heap_[parent]);
+    i = parent;
+  }
+  put(i, e);
+}
+
+void EventQueue::sift_down(std::size_t i, Entry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < e)) break;
+    put(i, heap_[child]);
+    i = child;
+  }
+  put(i, e);
 }
 
 }  // namespace swarmlab::sim

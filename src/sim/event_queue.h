@@ -12,17 +12,11 @@
 // broken by a separate monotonic sequence carried in the heap entry —
 // slot reuse makes ids non-monotonic, so ids cannot order the heap.
 //
-// Storage is two-tiered: a calendar wheel of fixed-width time buckets
-// absorbs the dense near-future band (where discrete-event simulations
-// concentrate their churn), and a binary min-heap holds everything
-// beyond the wheel's horizon, behind its cursor, or scheduled while the
-// wheel window was exhausted. Both tiers order by the same (time, seq)
-// key and pop() always takes the global minimum across them, so the
-// fire order is identical to a single binary heap — see the proof
-// sketch at wheel_peek(). See docs/performance.md.
+// Storage is one indexed binary min-heap: every slot records where its
+// entry sits, so cancel() removes the entry at once and the heap holds
+// live events only. See docs/performance.md.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -42,12 +36,8 @@ struct FastPayload {
   std::uint64_t b = 0;
 };
 
-/// Two-tier priority queue of timed events with O(1) cancellation and
-/// slot reuse.
-///
-/// Cancellation is lazy: a cancelled event's entry stays in its tier
-/// until it surfaces, where its stale generation identifies it for
-/// discard. The slot itself is reusable immediately.
+/// Priority queue of timed events with O(log n) cancellation and slot
+/// reuse.
 ///
 /// Events come in two flavours sharing one id space and one fire order:
 /// closure events carry an EventFn, fast-path events carry a channel tag
@@ -60,45 +50,35 @@ class EventQueue {
   EventId schedule(SimTime at, EventFn fn);
 
   /// Schedules a fast-path event at absolute time `at`. `channel` is an
-  /// opaque nonzero tag returned to the caller by pop(); dispatching it
-  /// is the caller's business (Simulation keeps the handler table).
+  /// opaque nonzero tag handed back in Fired; dispatching it is the
+  /// caller's business (Simulation keeps the handler table).
   EventId schedule_fast(SimTime at, std::uint16_t channel,
                         FastPayload payload);
 
-  /// Cancels a pending event. Returns true if the event was still pending
-  /// (not yet fired and not already cancelled).
+  /// Cancels a pending event, removing it from the heap. Returns true if
+  /// the event was still pending (not yet fired and not already
+  /// cancelled).
   bool cancel(EventId id);
 
-  /// True when no live (non-cancelled) event remains.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  /// True when no event is pending.
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// Number of live events.
-  [[nodiscard]] std::size_t size() const { return live_; }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest live event. Precondition: !empty().
-  /// Non-const: compacts cancelled entries off the tier tops.
-  [[nodiscard]] SimTime next_time();
-
-  /// What pop() returns: the fired event's time, id and callback.
-  /// `channel` == 0 means a closure event (`fn` holds the callback);
-  /// nonzero means a fast-path event (`payload` holds the data, `fn` is
-  /// empty).
+  /// A fired event. `channel` == 0 means a closure event (`fn` holds the
+  /// callback); nonzero means a fast-path event (`payload` holds the
+  /// data, `fn` is empty).
   struct Fired {
     SimTime time;
-    EventId id;
     FastPayload payload;
     std::uint16_t channel;
     EventFn fn;
   };
 
-  /// Pops and returns the earliest live event, advancing past any
-  /// cancelled entries. Precondition: !empty().
-  Fired pop();
-
-  /// Fused peek-and-pop for the run loop: pops the earliest live event
-  /// into `*out` iff the queue is non-empty and that event's time is
-  /// <= `deadline`. One tier scan instead of the two a next_time()/pop()
-  /// pair costs. Returns false (leaving `*out` untouched) otherwise.
+  /// Pops the earliest pending event into `*out` iff the queue is
+  /// non-empty and that event's time is <= `deadline`. Returns false
+  /// (leaving the queue and `*out` untouched) otherwise.
   bool pop_until(SimTime deadline, Fired* out);
 
   /// Events ever scheduled.
@@ -107,64 +87,48 @@ class EventQueue {
   /// Events cancelled before firing.
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
 
-  /// High-water mark of live events.
+  /// High-water mark of pending events.
   [[nodiscard]] std::size_t peak_pending() const { return peak_; }
 
-  /// Bulk compactions performed (dead entries swept from both tiers).
-  [[nodiscard]] std::uint64_t compactions_count() const {
-    return compactions_;
-  }
-
  private:
-  /// Tier entries are 24-byte PODs: sift/sort moves are plain copies
-  /// instead of std::function move-constructor calls. The callback (or
-  /// payload) lives in the slot.
+  /// Heap entries are 24-byte PODs: sift moves are plain copies instead
+  /// of std::function move-constructor calls. The callback (or payload)
+  /// lives in the slot.
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // schedule order; breaks equal-time ties
-    EventId id;
+    std::uint32_t slot;
 
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+    bool operator<(const Entry& other) const {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
     }
   };
 
   struct Slot {
     std::uint32_t gen = 0;
+    std::uint32_t pos = 0;      // index of this slot's entry in heap_
     std::uint16_t channel = 0;  // 0 = closure event, else fast-path tag
     FastPayload payload;
     EventFn fn;
   };
 
-  /// One wheel bucket: entries with times in [base + i*w, base + (i+1)*w).
-  /// `sorted` holds only for the cursor bucket once it has been peeked:
-  /// descending (time, seq) so the minimum pops off the back in O(1).
-  struct Bucket {
-    std::vector<Entry> v;
-    bool sorted = false;
-  };
+  /// Allocates a slot and pushes its entry onto the heap.
+  std::uint32_t place(SimTime at);
 
-  // Wheel geometry. The width is a power of two so relative times scale
-  // exactly; the horizon (buckets * width = 4 s) covers the dense band of
-  // transfer completions and control latencies while long timers
-  // (rechoke, announce, keepalive) overflow to the heap, keeping it
-  // small. The wheel window is absolute and non-wrapping: when it drains
-  // it re-anchors at the next scheduled time.
-  static constexpr std::size_t kWheelBuckets = 4096;
-  static constexpr double kBucketWidth = 1.0 / 1024.0;
-  static constexpr double kWheelSpan = kWheelBuckets * kBucketWidth;
+  /// Removes the entry at heap index `i`: the last entry fills the hole
+  /// and sifts whichever way restores the heap order.
+  void remove_at(std::size_t i);
 
-  static constexpr EventId pack(std::uint32_t gen, std::uint32_t slot) {
-    return (static_cast<EventId>(gen) << 32) |
-           (static_cast<EventId>(slot) + 1);
-  }
+  /// Fills the hole at index `i` with `e`, moving the hole up (towards
+  /// the root) or down until `e` fits there.
+  void sift_up(std::size_t i, Entry e);
+  void sift_down(std::size_t i, Entry e);
 
-  /// True if `id` names the current, still-pending tenant of its slot.
-  [[nodiscard]] bool is_pending(EventId id) const {
-    const std::uint64_t biased = id & 0xffffffffu;
-    if (biased == 0 || biased > slots_.size()) return false;
-    return slots_[biased - 1].gen == static_cast<std::uint32_t>(id >> 32);
+  /// Stores `e` at heap index `i` and records that index in its slot.
+  void put(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(i);
   }
 
   /// Retires a slot: invalidates outstanding ids, frees the callback's
@@ -173,57 +137,14 @@ class EventQueue {
     ++slots_[slot].gen;
     slots_[slot].fn = nullptr;
     free_.push_back(slot);
-    --live_;
   }
 
-  /// Allocates a slot and pushes an entry for it into the right tier.
-  EventId place(SimTime at);
-
-  /// Earliest live wheel entry (nullptr when the wheel holds none),
-  /// purging stale entries and advancing the cursor past drained
-  /// buckets.
-  ///
-  /// Why this is the wheel's minimum: buckets partition disjoint,
-  /// ascending time ranges, so the first non-empty bucket at or after
-  /// the cursor contains every candidate for the wheel's earliest time;
-  /// within it, entries are kept descending by (time, seq), so the back
-  /// is the exact minimum. Entries that would land in a range the
-  /// cursor already passed are routed to the heap at schedule time, so
-  /// no entry is ever skipped.
-  Entry* wheel_peek();
-
-  /// Discards cancelled entries sitting at the top of the heap.
-  void drop_cancelled();
-
-  /// Moves the popped entry's slot contents into a Fired and retires the
-  /// slot.
-  Fired take(const Entry& top);
-
-  /// Rebuilds both tiers without their dead entries. Triggered when dead
-  /// entries outnumber live ones, so the amortized cost per cancel is
-  /// O(1) — far cheaper than sifting each dead entry through the root.
-  /// Pop order is unaffected: (time, seq) is a total order (seq is
-  /// unique), so any valid layout pops identically; in-bucket erasure
-  /// preserves relative order, so sorted buckets stay sorted.
-  void compact();
-
-  /// Entries across both tiers, dead ones included.
-  [[nodiscard]] std::size_t total_entries() const {
-    return heap_.size() + wheel_entries_;
-  }
-
-  std::vector<Entry> heap_;  // min-heap via std::*_heap with greater<>
-  std::vector<Bucket> buckets_{kWheelBuckets};
-  double wheel_base_ = 0.0;       // time of bucket 0's left edge
-  std::size_t wheel_cursor_ = 0;  // first bucket not yet drained
-  std::size_t wheel_entries_ = 0; // entries in buckets, dead included
+  std::vector<Entry> heap_;  // binary min-heap by (time, seq)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // retired slots awaiting reuse
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t peak_ = 0;
 };
 

@@ -117,10 +117,11 @@ class Simulation {
   /// events_executed()).
   [[nodiscard]] std::uint64_t events_fastpath() const { return fastpath_; }
 
-  /// Bulk dead-entry sweeps the event queue has performed.
-  [[nodiscard]] std::uint64_t queue_compactions() const {
-    return queue_.compactions_count();
-  }
+  /// Always 0: the event queue removes cancelled events at once and
+  /// never compacts. Kept only because seambench/seambench.cpp still
+  /// reads it for its `sim.compactions` counter; delete it together with
+  /// that counter.
+  [[nodiscard]] std::uint64_t queue_compactions() const { return 0; }
 
  private:
   struct FastChannel {

@@ -1,8 +1,10 @@
-// Event-engine equivalence: the two-tier EventQueue (calendar wheel +
-// binary heap, PR 8) must pop in byte-identical (time, seq) order to a
-// reference single-tier model under tie-heavy randomized workloads, and
-// the fast-path channel must share that order with closure events.
+// Event-engine equivalence: the indexed-heap EventQueue, which removes
+// cancelled entries from the middle of the heap, must pop in exactly the
+// (time, seq) order of a naive reference model under tie-heavy
+// randomized workloads, and the fast-path channel must share that order
+// with closure events.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -16,7 +18,9 @@
 namespace swarmlab::sim {
 namespace {
 
-/// Reference model: a plain sorted list keyed by (time, insertion seq).
+constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
+
+/// Reference model: a plain list keyed by (time, insertion seq).
 /// Deliberately naive — correctness oracle, not a performance peer.
 class ReferenceQueue {
  public:
@@ -36,16 +40,14 @@ class ReferenceQueue {
   }
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+
+  /// Time of the (time, seq) minimum. Precondition: !empty().
+  [[nodiscard]] double min_time() const { return min()->time; }
 
   /// Pops the (time, seq) minimum and returns its token.
   std::uint64_t pop() {
-    auto best = items_.begin();
-    for (auto it = items_.begin(); it != items_.end(); ++it) {
-      if (it->time < best->time ||
-          (it->time == best->time && it->seq < best->seq)) {
-        best = it;
-      }
-    }
+    const auto best = min();
     const std::uint64_t token = best->token;
     items_.erase(best);
     return token;
@@ -57,15 +59,28 @@ class ReferenceQueue {
     std::uint64_t seq;
     std::uint64_t token;
   };
+
+  [[nodiscard]] std::vector<Item>::const_iterator min() const {
+    auto best = items_.begin();
+    for (auto it = items_.begin(); it != items_.end(); ++it) {
+      if (it->time < best->time ||
+          (it->time == best->time && it->seq < best->seq)) {
+        best = it;
+      }
+    }
+    return best;
+  }
+
   std::vector<Item> items_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_token_ = 1;
 };
 
 /// Drives EventQueue and ReferenceQueue through one interleaved
-/// schedule/cancel/pop script and asserts identical pop order. Times are
-/// drawn from a tiny set of quantized values so equal-time ties are the
-/// norm, and span both the wheel window (< 4 s ahead) and the heap band.
+/// schedule / cancel / stale-cancel / pop_until script and asserts
+/// identical pop order and size after every operation. Times are drawn
+/// from a tiny set of quantized values so equal-time ties are the norm,
+/// and pop deadlines fall both on those times and between them.
 void run_equivalence_script(std::uint64_t seed, int ops) {
   Rng rng(seed);
   EventQueue queue;
@@ -74,58 +89,93 @@ void run_equivalence_script(std::uint64_t seed, int ops) {
   // fired closure records which token ran.
   std::vector<std::uint64_t> popped_tokens;
   std::vector<std::pair<std::uint64_t, EventId>> live;  // token -> id
+  std::vector<EventId> dead;  // ids already fired or cancelled
+  int stale_on_reused_slot = 0;
+  int refused_pops = 0;
+
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform(0.0, 1.0) * n) % n;
+  };
+  const auto retire = [&live, &dead](std::uint64_t token) {
+    const auto it = std::find_if(live.begin(), live.end(), [&](const auto& p) {
+      return p.first == token;
+    });
+    ASSERT_NE(it, live.end());
+    dead.push_back(it->second);
+    live.erase(it);
+  };
 
   double now = 0.0;
   for (int op = 0; op < ops; ++op) {
     const double dice = rng.uniform(0.0, 1.0);
-    if (dice < 0.55 || queue.empty()) {
-      // Schedule at a coarsely quantized future time: ~16 distinct
-      // offsets, some beyond the 4 s wheel horizon, so collisions are
-      // constant and both tiers participate.
-      const double offset =
-          std::floor(rng.uniform(0.0, 1.0) * 16.0) * 0.75;  // 0 .. 11.25 s
+    if (dice < 0.50 || queue.empty()) {
+      // Schedule at a coarsely quantized future time: 16 distinct
+      // offsets 0.75 s apart, so collisions are constant.
+      const double offset = std::floor(rng.uniform(0.0, 1.0) * 16.0) * 0.75;
       const double at = now + offset;
       const std::uint64_t token = ref.add(at);
       const EventId id = queue.schedule(at, [token, &popped_tokens] {
         popped_tokens.push_back(token);
       });
       live.emplace_back(token, id);
-    } else if (dice < 0.70 && !live.empty()) {
+    } else if (dice < 0.62 && !live.empty()) {
       // Cancel a random live event in both models.
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.uniform(0.0, 1.0) * live.size()) %
-          live.size();
-      const auto [token, id] = live[pick];
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      const auto [token, id] = live[pick(live.size())];
       EXPECT_TRUE(queue.cancel(id));
       EXPECT_TRUE(ref.cancel(token));
+      retire(token);
+    } else if (dice < 0.70 && !dead.empty()) {
+      // Cancel an id that already fired or was cancelled. Slots are
+      // reused, so this often names a slot a live event now holds; the
+      // generation check must refuse it and leave that tenant alone.
+      const EventId stale = dead[pick(dead.size())];
+      for (const auto& [token, id] : live) {
+        if ((id & 0xffffffffu) == (stale & 0xffffffffu)) {
+          ++stale_on_reused_slot;
+          break;
+        }
+      }
+      EXPECT_FALSE(queue.cancel(stale));
     } else {
-      // Pop one event from both; order must agree exactly.
-      ASSERT_FALSE(queue.empty());
-      const double t = queue.next_time();
-      EXPECT_GE(t, now);
-      now = t;
-      auto fired = queue.pop();
-      EXPECT_EQ(fired.time, t);
-      ASSERT_EQ(fired.channel, 0);
-      fired.fn();
-      ASSERT_FALSE(popped_tokens.empty());
-      const std::uint64_t expect = ref.pop();
-      EXPECT_EQ(popped_tokens.back(), expect)
-          << "divergence at op " << op << " seed " << seed;
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [&](const auto& p) {
-                                  return p.first == popped_tokens.back();
-                                }),
-                 live.end());
+      // Pop with a deadline on a tied time (even multiple of 0.375 s) or
+      // between two of them (odd multiple); order must agree exactly.
+      const double deadline =
+          now + std::floor(rng.uniform(0.0, 1.0) * 32.0) * 0.375;
+      const std::size_t before = queue.size();
+      EventQueue::Fired fired;
+      if (ref.min_time() > deadline) {
+        // A refused pop disturbs nothing: same size, and the next pop
+        // (checked by the following pop ops) still matches the reference.
+        EXPECT_FALSE(queue.pop_until(deadline, &fired));
+        EXPECT_EQ(queue.size(), before);
+        ++refused_pops;
+      } else {
+        ASSERT_TRUE(queue.pop_until(deadline, &fired));
+        EXPECT_GE(fired.time, now);
+        EXPECT_LE(fired.time, deadline);
+        EXPECT_EQ(fired.time, ref.min_time());
+        now = fired.time;
+        ASSERT_EQ(fired.channel, 0);
+        fired.fn();
+        ASSERT_FALSE(popped_tokens.empty());
+        const std::uint64_t expect = ref.pop();
+        EXPECT_EQ(popped_tokens.back(), expect)
+            << "divergence at op " << op << " seed " << seed;
+        retire(popped_tokens.back());
+      }
     }
+    ASSERT_EQ(queue.size(), ref.size()) << "op " << op << " seed " << seed;
   }
+  EXPECT_GT(stale_on_reused_slot, 0);
+  EXPECT_GT(refused_pops, 0);
   // Drain: the full remaining order must match too.
-  while (!queue.empty()) {
-    auto fired = queue.pop();
+  EventQueue::Fired fired;
+  while (queue.pop_until(kNoDeadline, &fired)) {
     fired.fn();
     EXPECT_EQ(popped_tokens.back(), ref.pop());
+    EXPECT_EQ(queue.size(), ref.size());
   }
+  EXPECT_TRUE(queue.empty());
   EXPECT_TRUE(ref.empty());
 }
 
@@ -135,38 +185,40 @@ TEST(EventEngineEquivalence, TieHeavyRandomizedPopOrderMatchesReference) {
   }
 }
 
-TEST(EventEngineEquivalence, MassCancelCompactsAndPreservesOrder) {
+TEST(EventEngineEquivalence, MassCancelPreservesOrder) {
   EventQueue queue;
   std::vector<int> order;
-  std::vector<EventId> cancel_me;
-  // 3000 events in the wheel band; cancel 2/3 so the dead:live ratio
-  // crosses the compaction trigger.
+  // 3000 events on 37 tied times; cancel 2/3 of them, scattered through
+  // the heap, so most cancels remove an entry from its middle.
   std::vector<EventId> ids;
   for (int i = 0; i < 3000; ++i) {
     const double at = (i % 37) * 0.1;
     ids.push_back(queue.schedule(at, [i, &order] { order.push_back(i); }));
   }
   for (int i = 0; i < 3000; ++i) {
-    if (i % 3 != 0) EXPECT_TRUE(queue.cancel(ids[static_cast<std::size_t>(i)]));
+    if (i % 3 != 0) {
+      EXPECT_TRUE(queue.cancel(ids[static_cast<std::size_t>(i)]));
+    }
   }
-  EXPECT_GE(queue.compactions_count(), 1u);
+  EXPECT_EQ(queue.size(), 1000u);
   double last = -1.0;
   int popped = 0;
-  while (!queue.empty()) {
-    const double t = queue.next_time();
-    EXPECT_GE(t, last);
-    last = t;
-    auto fired = queue.pop();
+  EventQueue::Fired fired;
+  while (queue.pop_until(kNoDeadline, &fired)) {
+    EXPECT_GE(fired.time, last);
+    last = fired.time;
     fired.fn();
     ++popped;
   }
   EXPECT_EQ(popped, 1000);
-  // Survivors fire in (time, seq) order: within one time bucket value,
+  // Survivors fire in (time, seq) order: within one time value,
   // ascending schedule order (i % 37 equal => ascending i).
   for (std::size_t i = 1; i < order.size(); ++i) {
     const int a = order[i - 1];
     const int b = order[i];
-    if (a % 37 == b % 37) EXPECT_LT(a, b);
+    if (a % 37 == b % 37) {
+      EXPECT_LT(a, b);
+    }
   }
 }
 
@@ -202,7 +254,9 @@ TEST(EventEngineFastPath, SharesFireOrderWithClosures) {
   for (std::size_t i = 1; i < rec.seen.size(); ++i) {
     const std::uint64_t a = rec.seen[i - 1];
     const std::uint64_t b = rec.seen[i];
-    if (a % 10 == b % 10) EXPECT_LT(a, b);
+    if (a % 10 == b % 10) {
+      EXPECT_LT(a, b);
+    }
   }
 }
 

@@ -167,7 +167,6 @@ TEST(DigestUnderObservation, AllPeersProbeLeavesTrajectoryUntouched) {
   EXPECT_EQ(plain.events_cancelled, observed.events_cancelled);
   EXPECT_EQ(plain.peak_pending, observed.peak_pending);
   EXPECT_EQ(plain.events_fastpath, observed.events_fastpath);
-  EXPECT_EQ(plain.queue_compactions, observed.queue_compactions);
   EXPECT_EQ(plain.train_segments, observed.train_segments);
   EXPECT_EQ(plain.text, observed.text);
 
@@ -230,7 +229,6 @@ TEST(DigestUnderObservation, FocusBoundLocalProbeIsEquallyPassive) {
   EXPECT_EQ(plain.events_cancelled, sim.events_cancelled());
   EXPECT_EQ(plain.peak_pending, sim.peak_pending_events());
   EXPECT_EQ(plain.events_fastpath, sim.events_fastpath());
-  EXPECT_EQ(plain.queue_compactions, sim.queue_compactions());
 
   // The probe did observe: the focus series hold samples from t = 0 on
   // and dropped none.

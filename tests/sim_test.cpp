@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -10,13 +11,20 @@
 namespace swarmlab::sim {
 namespace {
 
+/// Pops the earliest (closure) event with no deadline and runs it.
+void pop_and_run(EventQueue& q) {
+  EventQueue::Fired fired;
+  ASSERT_TRUE(q.pop_until(std::numeric_limits<SimTime>::max(), &fired));
+  fired.fn();
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.schedule(3.0, [&] { order.push_back(3); });
   q.schedule(1.0, [&] { order.push_back(1); });
   q.schedule(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -26,7 +34,7 @@ TEST(EventQueue, SimultaneousEventsFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) pop_and_run(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -49,7 +57,7 @@ TEST(EventQueue, CancelIsIdempotent) {
 TEST(EventQueue, CancelAfterFireReturnsFalse) {
   EventQueue q;
   const EventId id = q.schedule(1.0, [] {});
-  q.pop().fn();
+  pop_and_run(q);
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -72,14 +80,14 @@ TEST(EventQueue, StaleIdCannotCancelSlotsNextTenant) {
   EXPECT_NE(second, first);                              // ...new generation
   EXPECT_FALSE(q.cancel(first));  // stale id bounces off
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
+  pop_and_run(q);
   EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, StaleIdSurvivesManyReuses) {
   EventQueue q;
   const EventId original = q.schedule(1.0, [] {});
-  q.pop().fn();  // fire it; slot retires
+  pop_and_run(q);  // fire it; slot retires
   for (int round = 0; round < 100; ++round) {
     const EventId tenant = q.schedule(1.0, [] {});
     EXPECT_FALSE(q.cancel(original)) << "round " << round;
@@ -99,12 +107,13 @@ TEST(EventQueue, CountersTrackScheduledCancelledAndPeak) {
   q.cancel(a);
   EXPECT_EQ(q.cancelled_count(), 1u);
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(q.peak_pending(), 3u);  // high-water mark survives drain
 }
 
-// Heavy churn exercises the heap-compaction path (dead entries
-// outnumbering live ones) without disturbing fire order.
+// Heavy churn: every cancel removes an entry from the middle of the heap
+// (the last entry fills the hole and sifts), which must not disturb the
+// fire order of the survivors.
 TEST(EventQueue, FireOrderSurvivesMassCancellation) {
   EventQueue q;
   std::vector<int> order;
@@ -118,7 +127,7 @@ TEST(EventQueue, FireOrderSurvivesMassCancellation) {
     for (const EventId id : doomed) q.cancel(id);
     doomed.clear();
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) pop_and_run(q);
   ASSERT_EQ(order.size(), 500u);
   for (int i = 0; i < 500; ++i) EXPECT_EQ(order[i], i);
 }
@@ -130,16 +139,19 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
+  pop_and_run(q);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
+TEST(EventQueue, PopUntilSkipsCancelled) {
   EventQueue q;
   const EventId a = q.schedule(1.0, [] {});
   q.schedule(2.0, [] {});
   q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EventQueue::Fired fired;
+  EXPECT_FALSE(q.pop_until(1.5, &fired));  // the cancelled 1.0 is gone
+  ASSERT_TRUE(q.pop_until(2.0, &fired));
+  EXPECT_DOUBLE_EQ(fired.time, 2.0);
 }
 
 TEST(Simulation, ClockAdvancesWithEvents) {
